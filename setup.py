@@ -23,14 +23,8 @@ class OptionalBuildExt(build_ext):
 def extensions():
     if os.environ.get("OSGKIT_NO_EXT"):
         return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("osgkit._kernel", ["src/osgkit/_kernel.pyx"])],
-        language_level="3",
-    )
+    # one hand-written C source, compiled by the system compiler
+    return [Extension("osgkit._kernel", ["src/osgkit/_kernelmodule.c"])]
 
 
 setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})

@@ -1,9 +1,10 @@
 """Pure-Python reference implementation of the hot enumeration kernels.
 
-Same contract as the compiled module ``osgkit._kernel``: tables travel as
-row-major bytes, orders stay small (n <= 5).  This version favours obvious
-correctness over speed; the benchmark in benchmarks/bench_kernel.py
-compares the two.
+Same contract as the compiled module ``osgkit._kernel`` (built from
+``_kernelmodule.c``): tables travel as row-major bytes, orders stay within
+1..5, and bad arguments raise the same ``ValueError`` in both.  This
+version favours obvious correctness over speed; the benchmark in
+benchmarks/bench_kernel.py compares the two.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from itertools import permutations
 
 BACKEND = "python"
+
+MAX_N = 5
 
 _UNSET = 0xFF
 
@@ -23,8 +26,21 @@ def _perms(n: int) -> list[tuple[int, ...]]:
     return _PERM_CACHE[n]
 
 
+def _check(n: int, mult: bytes | None = None, leq: bytes | None = None) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"order must be within 1..{MAX_N}")
+    if mult is not None:
+        if len(mult) != n * n:
+            raise ValueError("mult must hold n*n bytes")
+        if max(mult) >= n:
+            raise ValueError("mult entries must be below n")
+    if leq is not None and len(leq) != n * n:
+        raise ValueError("leq must hold n*n bytes")
+
+
 def find_assoc_violation(mult: bytes, n: int) -> int:
     """Index i*n*n + j*n + k of the least non-associative triple, or -1."""
+    _check(n, mult)
     for i in range(n):
         for j in range(n):
             ij = mult[i * n + j]
@@ -96,16 +112,19 @@ def _backtrack(n: int, leq: bytes | None) -> list[bytes]:
 
 def enumerate_assoc_tables(n: int) -> list[bytes]:
     """All associative tables on n labelled points, lexicographic order."""
+    _check(n)
     return _backtrack(n, None)
 
 
 def enumerate_valid_tables(n: int, leq: bytes) -> list[bytes]:
     """All tables that are associative and compatible with the given order."""
+    _check(n, leq=leq)
     return _backtrack(n, leq)
 
 
 def canonical_key(mult: bytes, leq: bytes, n: int) -> bytes:
     """Minimum over relabelings of order byte + mult table + leq matrix."""
+    _check(n, mult, leq)
     best = None
     size = n * n
     cand = bytearray(2 * size)

@@ -1,0 +1,272 @@
+/* Compiled enumeration kernels, module osgkit._kernel.
+ *
+ * Same contract as the pure-Python reference osgkit._kernel_py: tables
+ * travel as row-major bytes and orders are capped at 5, so fixed buffers
+ * of 25 cells suffice.  Every argument is checked before it is read.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <string.h>
+
+#define MAX_N 5
+#define UNSET 0xFF
+
+typedef const unsigned char *table_t;
+
+/* ValueError unless 1 <= n <= MAX_N; the messages match _kernel_py. */
+static int
+check_order(int n)
+{
+    if (n < 1 || n > MAX_N) {
+        PyErr_Format(PyExc_ValueError, "order must be within 1..%d", MAX_N);
+        return -1;
+    }
+    return 0;
+}
+
+static int
+check_size(const char *name, Py_ssize_t len, int n)
+{
+    if (len != (Py_ssize_t)n * n) {
+        PyErr_Format(PyExc_ValueError, "%s must hold n*n bytes", name);
+        return -1;
+    }
+    return 0;
+}
+
+static int
+check_mult(table_t mult, Py_ssize_t len, int n)
+{
+    if (check_size("mult", len, n) < 0)
+        return -1;
+    for (int i = 0; i < n * n; i++) {
+        if (mult[i] >= n) {
+            PyErr_SetString(PyExc_ValueError, "mult entries must be below n");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static PyObject *
+find_assoc_violation(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"mult", "n", NULL};
+    table_t m;
+    Py_ssize_t len;
+    int n;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#i", kwlist, &m, &len, &n)
+        || check_order(n) < 0 || check_mult(m, len, n) < 0)
+        return NULL;
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            int ij = m[i * n + j];
+            for (int k = 0; k < n; k++)
+                if (m[ij * n + k] != m[i * n + m[j * n + k]])
+                    return PyLong_FromLong((i * n + j) * n + k);
+        }
+    return PyLong_FromLong(-1);
+}
+
+/* cells[pos] was just assigned; every cell before pos is known, every
+ * cell after it UNSET.  True when no filled cells break compatibility
+ * with leq (if given) or associativity. */
+static int
+partial_ok(const unsigned char *cells, int n, table_t leq, int pos)
+{
+    int v = cells[pos], i = pos / n, j = pos % n;
+
+    if (leq != NULL) {
+        for (int b = 0; b < n; b++) {
+            /* cell (i, j) against (i, b), then against (b, j) */
+            int w = cells[i * n + b];
+            if (w != UNSET) {
+                if (leq[j * n + b] && !leq[v * n + w])
+                    return 0;
+                if (leq[b * n + j] && !leq[w * n + v])
+                    return 0;
+            }
+            w = cells[b * n + j];
+            if (w != UNSET) {
+                if (leq[i * n + b] && !leq[v * n + w])
+                    return 0;
+                if (leq[b * n + i] && !leq[w * n + v])
+                    return 0;
+            }
+        }
+    }
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++) {
+            int ab = cells[a * n + b];
+            if (ab == UNSET)
+                continue;
+            for (int c = 0; c < n; c++) {
+                int bc = cells[b * n + c];
+                if (bc == UNSET)
+                    continue;
+                int left = cells[ab * n + c], right = cells[a * n + bc];
+                if (left != UNSET && right != UNSET && left != right)
+                    return 0;
+            }
+        }
+    return 1;
+}
+
+/* Depth-first fill in row-major cell order, values ascending, so the
+ * tables come out in lexicographic order. */
+static PyObject *
+backtrack(int n, table_t leq)
+{
+    unsigned char cells[MAX_N * MAX_N];
+    int total = n * n, depth = 0;
+    PyObject *out = PyList_New(0);
+
+    if (out == NULL)
+        return NULL;
+    memset(cells, UNSET, sizeof cells);
+    while (depth >= 0) {
+        if (depth == total) {
+            PyObject *table = PyBytes_FromStringAndSize((char *)cells, total);
+            if (table == NULL || PyList_Append(out, table) < 0) {
+                Py_XDECREF(table);
+                Py_DECREF(out);
+                return NULL;
+            }
+            Py_DECREF(table);
+            depth--;
+            continue;
+        }
+        int v = cells[depth] == UNSET ? 0 : cells[depth] + 1;
+        for (; v < n; v++) {
+            cells[depth] = (unsigned char)v;
+            if (partial_ok(cells, n, leq, depth))
+                break;
+        }
+        if (v < n) {
+            depth++;
+        } else {
+            cells[depth] = UNSET;
+            depth--;
+        }
+    }
+    return out;
+}
+
+static PyObject *
+enumerate_assoc_tables(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", NULL};
+    int n;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i", kwlist, &n)
+        || check_order(n) < 0)
+        return NULL;
+    return backtrack(n, NULL);
+}
+
+static PyObject *
+enumerate_valid_tables(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "leq", NULL};
+    table_t leq;
+    Py_ssize_t len;
+    int n;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy#", kwlist, &n, &leq, &len)
+        || check_order(n) < 0 || check_size("leq", len, n) < 0)
+        return NULL;
+    return backtrack(n, leq);
+}
+
+/* Step q to the next permutation in lexicographic order; 0 after the last. */
+static int
+next_permutation(int *q, int n)
+{
+    int i = n - 2, j = n - 1, t;
+
+    while (i >= 0 && q[i] >= q[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    while (q[j] <= q[i])
+        j--;
+    t = q[i], q[i] = q[j], q[j] = t;
+    for (i++, j = n - 1; i < j; i++, j--)
+        t = q[i], q[i] = q[j], q[j] = t;
+    return 1;
+}
+
+static PyObject *
+canonical_key(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"mult", "leq", "n", NULL};
+    table_t m, leq;
+    Py_ssize_t mlen, llen;
+    int n, q[MAX_N], p[MAX_N], first = 1;
+    unsigned char key[1 + 2 * MAX_N * MAX_N];
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#y#i", kwlist,
+                                     &m, &mlen, &leq, &llen, &n)
+        || check_order(n) < 0 || check_mult(m, mlen, n) < 0
+        || check_size("leq", llen, n) < 0)
+        return NULL;
+
+    int size = n * n;
+    unsigned char *best = key + 1;
+    key[0] = (unsigned char)n;
+    for (int a = 0; a < n; a++)
+        q[a] = a;
+    /* q[new] = old and p[old] = new.  Each relabelling is written into
+     * best byte by byte; it stops at the first byte above best, and
+     * overwrites best from the first byte below it. */
+    do {
+        int less = first;
+        for (int a = 0; a < n; a++)
+            p[q[a]] = a;
+        for (int k = 0; k < 2 * size; k++) {
+            int src = q[k % size / n] * n + q[k % n];
+            unsigned char c = k < size ? (unsigned char)p[m[src]] : leq[src];
+            if (!less) {
+                if (c > best[k])
+                    break;
+                less = c < best[k];
+            }
+            best[k] = c;
+        }
+        first = 0;
+    } while (next_permutation(q, n));
+    return PyBytes_FromStringAndSize((char *)key, 1 + 2 * size);
+}
+
+#define METHOD(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
+
+static PyMethodDef kernel_methods[] = {
+    METHOD(find_assoc_violation,
+           "Index i*n*n + j*n + k of the least non-associative triple, or -1."),
+    METHOD(enumerate_assoc_tables,
+           "All associative tables on n labelled points, lexicographic order."),
+    METHOD(enumerate_valid_tables,
+           "All tables that are associative and compatible with the given order."),
+    METHOD(canonical_key,
+           "Minimum over relabelings of order byte + mult table + leq matrix."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "_kernel",
+    "Compiled enumeration kernels; contract mirrored by osgkit._kernel_py.",
+    0, kernel_methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    PyObject *module = PyModule_Create(&kernel_module);
+
+    if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "c") < 0)
+        Py_CLEAR(module);
+    return module;
+}

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, TextIO
 from osgkit import kernel
 from osgkit.structure import (
     OrderedSemigroup,
+    StructureParseError,
     format_structure,
     from_flat,
     parse_structure,
@@ -178,6 +179,7 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
 # corpus files
 
 RECORD_SEPARATOR = "---"
+COUNT_HEADER = "# count:"
 
 
 def write_corpus(out: TextIO, structures: Iterable[OrderedSemigroup],
@@ -192,7 +194,7 @@ def write_corpus(out: TextIO, structures: Iterable[OrderedSemigroup],
             f"# options: order={options.order} mode={options.mode} "
             f"filters={','.join(options.filters) or 'none'} shard={shard}\n"
         )
-    out.write(f"# count: {len(structures)}\n")
+    out.write(f"{COUNT_HEADER} {len(structures)}\n")
     for i, s in enumerate(structures):
         if i:
             out.write(RECORD_SEPARATOR + "\n")
@@ -200,7 +202,23 @@ def write_corpus(out: TextIO, structures: Iterable[OrderedSemigroup],
     return len(structures)
 
 
+def _header_count(text: str) -> int | None:
+    """The record count declared in the leading comment lines, if any."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            return None
+        if line.startswith(COUNT_HEADER):
+            try:
+                return int(line[len(COUNT_HEADER):])
+            except ValueError:
+                raise StructureParseError(f"malformed count header {line!r}", lineno) from None
+    return None
+
+
 def read_corpus(text: str) -> list[OrderedSemigroup]:
+    """Parse a corpus file; a ``# count:`` header, when present, must match
+    the number of records, so a truncated corpus is rejected."""
     records: list[list[str]] = [[]]
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -208,8 +226,14 @@ def read_corpus(text: str) -> list[OrderedSemigroup]:
             records.append([])
         else:
             records[-1].append(raw)
-    return [
+    structures = [
         parse_structure("\n".join(chunk))
         for chunk in records
         if any(line.split("#", 1)[0].strip() for line in chunk)
     ]
+    expected = _header_count(text)
+    if expected is not None and expected != len(structures):
+        raise StructureParseError(
+            f"corpus header declares {expected} records, found {len(structures)}"
+        )
+    return structures

@@ -1,6 +1,8 @@
 """Kernel selection: compiled extension when importable, pure Python otherwise.
 
-Set OSGKIT_PURE=1 to force the fallback (used by tests and the benchmark).
+The compiled module ``osgkit._kernel`` is built by ``setup.py`` from the
+hand-written ``_kernelmodule.c``; ``_kernel_py`` is the reference it must
+match.  Set OSGKIT_PURE=1 to force the fallback.
 """
 
 from __future__ import annotations

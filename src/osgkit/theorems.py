@@ -468,11 +468,14 @@ def _consistency(kind: str, vector: tuple[ConditionVerdict, ...]) -> bool:
     raise ValueError(f"unknown theorem kind {kind!r}")
 
 
-def check_theorem(s: OrderedSemigroup, theorem_id: str) -> TheoremReport:
+def check_theorem(s: OrderedSemigroup, theorem_id: str, *,
+                  _canonical_hex: str | None = None) -> TheoremReport:
     """Evaluate a grouping's condition vector on one valid structure.
 
     The report is marked hypothesis-unmet (and should be excluded from
     consistency accounting) when the structure misses the ambient.
+    ``_canonical_hex`` is ``canonical_form(s).hex()`` when the caller
+    already holds it, as :func:`sweep` does.
     """
     try:
         theorem = THEOREMS[theorem_id]
@@ -483,7 +486,7 @@ def check_theorem(s: OrderedSemigroup, theorem_id: str) -> TheoremReport:
     vector = tuple(_item_verdict(s, item) for item in theorem.items)
     return TheoremReport(
         theorem=theorem_id,
-        structure=canonical_form(s).hex(),
+        structure=_canonical_hex or canonical_form(s).hex(),
         vector=vector,
         consistent=_consistency(theorem.kind, vector),
         hypothesis_met=_ambient_met(s, theorem.ambient),
@@ -590,7 +593,7 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
         inconsistencies = []
         outside = []
         for hexkey, s in keyed:
-            report = check_theorem(s, tid)
+            report = check_theorem(s, tid, _canonical_hex=hexkey)
             if report.hypothesis_met:
                 met += 1
                 if not report.consistent:

@@ -1,5 +1,16 @@
+import importlib.machinery
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import pytest
 
+from osgkit import _kernel_py, kernel
 from osgkit.enumeration import EnumerationOptions, enumerate_ordered_semigroups
 from osgkit.fixtures import load_fixture
 from osgkit.oracles import rz2 as build_rz2
@@ -61,3 +72,52 @@ def corpus_upto3_iso():
     for n in (1, 2, 3):
         out.extend(enumerate_ordered_semigroups(EnumerationOptions(n, mode="up_to_iso")))
     return out
+
+
+# ---------------------------------------------------------------------------
+# kernel backends
+
+ROOT = Path(__file__).resolve().parents[1]
+KERNEL_FUNCTIONS = (
+    "find_assoc_violation",
+    "enumerate_assoc_tables",
+    "enumerate_valid_tables",
+    "canonical_key",
+)
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The C kernel, built from this checkout into a temporary directory.
+
+    Skips only when there is no C compiler; a compiler that fails to build
+    the kernel fails the tests that need it.
+    """
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the kernel")
+    tmp = tmp_path_factory.mktemp("kernel")
+    env = {k: v for k, v in os.environ.items() if k != "OSGKIT_NO_EXT"}
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = tmp / "lib" / "osgkit" / f"_kernel{suffix}"
+        if path.exists():
+            spec = importlib.util.spec_from_file_location("osgkit._kernel", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    pytest.fail(f"C kernel did not build:\n{proc.stdout}{proc.stderr}")
+
+
+@pytest.fixture(params=["python", "c"])
+def backend(request, monkeypatch):
+    """Route ``osgkit.kernel`` to one backend for the duration of a test."""
+    impl = _kernel_py if request.param == "python" else request.getfixturevalue("compiled")
+    monkeypatch.setattr(kernel, "BACKEND", impl.BACKEND)
+    for name in KERNEL_FUNCTIONS:
+        monkeypatch.setattr(kernel, name, getattr(impl, name))
+    return impl

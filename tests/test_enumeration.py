@@ -12,7 +12,7 @@ from osgkit.enumeration import (
     write_corpus,
 )
 from osgkit.fixtures import load_fixture
-from osgkit.structure import canonical_form, validate
+from osgkit.structure import StructureParseError, canonical_form, validate
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,28 @@ def test_semigroup_counts_small():
 
 
 # ---------------------------------------------------------------------------
+# literature counts: labelled semigroups OEIS A023814, semigroups up to
+# isomorphism A027851, labelled posets A001035
+
+
+def _semigroup_counts(n):
+    labelled = sum(1 for _ in enumerate_semigroups(EnumerationOptions(n, order_limit=n)))
+    iso = sum(1 for _ in enumerate_semigroups(
+        EnumerationOptions(n, mode="up_to_iso", order_limit=n)))
+    return labelled, iso
+
+
+def test_order_4_semigroup_counts(backend):
+    assert _semigroup_counts(4) == (3492, 188)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["c"], indirect=True)
+def test_order_5_semigroup_counts(backend):
+    assert _semigroup_counts(5) == (183732, 1915)
+
+
+# ---------------------------------------------------------------------------
 # partial orders
 
 
@@ -75,6 +97,7 @@ def test_poset_counts():
     assert len(enumerate_partial_orders(2)) == 3
     assert len(enumerate_partial_orders(3)) == 19
     assert len(enumerate_partial_orders(4)) == 219
+    assert len(enumerate_partial_orders(5)) == 4231
 
 
 def test_poset_enumeration_matches_naive_filter():
@@ -219,3 +242,21 @@ def test_corpus_round_trip(corpus_upto3_iso):
 def test_corpus_read_skips_blank_records():
     text = "# osgkit corpus\norder 1\nmult e0\n---\n---\norder 1\nmult 0\n"
     assert len(read_corpus(text)) == 2
+
+
+def test_corpus_count_header_must_match():
+    text = "# osgkit corpus\n# count: 2\norder 1\nmult e0\n---\norder 1\nmult 0\n"
+    assert len(read_corpus(text)) == 2
+    truncated = text[: text.rindex("---")]
+    with pytest.raises(StructureParseError, match="declares 2 records, found 1"):
+        read_corpus(truncated)
+
+
+def test_corpus_malformed_count_header():
+    with pytest.raises(StructureParseError, match="malformed count header"):
+        read_corpus("# count: many\norder 1\nmult 0\n")
+
+
+def test_corpus_count_only_read_from_leading_comments():
+    # a count comment after the first record is not a header
+    assert len(read_corpus("order 1\nmult 0\n# count: 5\n")) == 1

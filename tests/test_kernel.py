@@ -1,7 +1,8 @@
 """Parity between the compiled kernel and the pure-Python fallback.
 
 Both implement the same contract; the suite drives them side by side so
-either can back the package.
+either can back the package.  The compiled side comes from the
+``compiled`` fixture, which builds the C kernel from this checkout.
 """
 
 import random
@@ -14,27 +15,23 @@ import pytest
 from osgkit import _kernel_py, kernel
 from osgkit.enumeration import enumerate_partial_orders
 
-compiled = pytest.importorskip(
-    "osgkit._kernel", reason="compiled kernel not built; fallback already covered"
-)
-
 
 def _leq_flat(rel, n):
     return bytes(1 if rel[i][j] else 0 for i in range(n) for j in range(n))
 
 
-def test_backends_report_their_names():
+def test_backends_report_their_names(compiled):
     assert compiled.BACKEND == "c"
     assert _kernel_py.BACKEND == "python"
     assert kernel.BACKEND in ("c", "python")
 
 
-def test_assoc_table_streams_identical():
-    for n in (1, 2, 3):
+def test_assoc_table_streams_identical(compiled):
+    for n in (1, 2, 3, 4):
         assert compiled.enumerate_assoc_tables(n) == _kernel_py.enumerate_assoc_tables(n)
 
 
-def test_valid_table_streams_identical_over_all_posets():
+def test_valid_table_streams_identical_over_all_posets(compiled):
     for n in (1, 2, 3):
         for rel in enumerate_partial_orders(n):
             leq = _leq_flat(rel, n)
@@ -42,7 +39,7 @@ def test_valid_table_streams_identical_over_all_posets():
                 _kernel_py.enumerate_valid_tables(n, leq)
 
 
-def test_assoc_violation_parity_on_random_tables():
+def test_assoc_violation_parity_on_random_tables(compiled):
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 5)
@@ -51,10 +48,10 @@ def test_assoc_violation_parity_on_random_tables():
             _kernel_py.find_assoc_violation(mult, n)
 
 
-def test_canonical_key_parity_on_random_inputs():
+def test_canonical_key_parity_on_random_inputs(compiled):
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 5 if _ % 10 == 0 else 4)
         mult = bytes(rng.randrange(n) for _ in range(n * n))
         leq = bytes(
             1 if i == j else rng.randint(0, 1)
@@ -64,11 +61,30 @@ def test_canonical_key_parity_on_random_inputs():
             _kernel_py.canonical_key(mult, leq, n)
 
 
-def test_kernel_rejects_out_of_range_order():
-    with pytest.raises(ValueError):
-        compiled.enumerate_assoc_tables(6)
-    with pytest.raises(ValueError):
-        compiled.enumerate_valid_tables(2, b"\x01")
+ERROR_CASES = [
+    ("enumerate_assoc_tables", (0,), "order must be within 1..5"),
+    ("enumerate_assoc_tables", (6,), "order must be within 1..5"),
+    ("enumerate_valid_tables", (6, b"\x01" * 36), "order must be within 1..5"),
+    ("enumerate_valid_tables", (2, b"\x01"), "leq must hold n*n bytes"),
+    ("find_assoc_violation", (b"\x00" * 36, 6), "order must be within 1..5"),
+    ("find_assoc_violation", (b"\x00" * 3, 2), "mult must hold n*n bytes"),
+    ("find_assoc_violation", (b"\x00\x00\x00\x02", 2), "mult entries must be below n"),
+    ("canonical_key", (b"\x00" * 36, b"\x01" * 36, 6), "order must be within 1..5"),
+    ("canonical_key", (b"\x00" * 5, b"\x01" * 4, 2), "mult must hold n*n bytes"),
+    ("canonical_key", (b"\x00\x00\x00\x02", b"\x01" * 4, 2), "mult entries must be below n"),
+    ("canonical_key", (b"\x00" * 4, b"\x01" * 3, 2), "leq must hold n*n bytes"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,args,message", ERROR_CASES,
+    ids=[f"{name}-{message.split()[0]}-{i}" for i, (name, _, message) in enumerate(ERROR_CASES)],
+)
+def test_both_backends_raise_the_same_error(compiled, name, args, message):
+    for impl in (_kernel_py, compiled):
+        with pytest.raises(ValueError) as exc:
+            getattr(impl, name)(*args)
+        assert str(exc.value) == message, impl.BACKEND
 
 
 def test_env_var_forces_pure_backend():

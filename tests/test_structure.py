@@ -198,6 +198,25 @@ def test_validate_witnesses_are_sound(s):
     assert report.valid == (not report.failures)
 
 
+@given(raw_structures(max_order=5))
+def test_validate_associativity_witness_is_least_triple(s):
+    n, mult = s.order, s.mult
+    failing = [
+        (i, j, k)
+        for i in range(n) for j in range(n) for k in range(n)
+        if mult[mult[i][j]][k] != mult[i][mult[j][k]]
+    ]
+    witnesses = {f.axiom: f.witness for f in validate(s).failures}
+    assert witnesses.get("associativity") == (failing[0] if failing else None)
+
+
+def test_validate_rejects_orders_above_the_kernel_limit():
+    s = OrderedSemigroup(6, ((0,) * 6,) * 6, tuple(
+        tuple(i == j for j in range(6)) for i in range(6)))
+    with pytest.raises(ValueError, match="order must be within 1..5"):
+        validate(s)
+
+
 @given(raw_structures())
 @settings(max_examples=300)
 def test_validate_agrees_with_oracle_sampled(s):

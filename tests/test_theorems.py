@@ -2,7 +2,8 @@ import pytest
 
 from osgkit.properties import h_commutes, inverses_of, ordered_idempotents
 from osgkit.relations import greens_relations
-from osgkit.structure import from_table, validate
+from osgkit import kernel
+from osgkit.structure import canonical_form, from_table, validate
 from osgkit.theorems import (
     CONDITIONS,
     THEOREMS,
@@ -152,6 +153,23 @@ def test_sweep_order_2_labelled_clean(corpus_upto3_labelled):
     report = sweep(corpus, ["THM_3_5"])
     assert report.structures == 21  # orders 1 and 2 together
     assert report.theorems[0].inconsistent == 0
+
+
+def test_sweep_canonicalises_each_structure_once(monkeypatch, n2, sl2, lz2):
+    calls = []
+    canonical_key = kernel.canonical_key
+
+    def counted(*args):
+        calls.append(args)
+        return canonical_key(*args)
+
+    monkeypatch.setattr(kernel, "canonical_key", counted)
+    report = sweep([n2, sl2, lz2])
+    assert len(calls) == 3
+    for entry in report.theorems:
+        for record in entry.outside_disagreements + entry.inconsistencies:
+            assert record.report.structure == record.canonical
+            assert record.canonical == canonical_form(record.structure).hex()
 
 
 def test_sweep_fixture_pair(sl2, lz2):

@@ -22,6 +22,7 @@ from osgkit.enumeration import (
     enumerate_ordered_semigroups,
     enumerate_partial_orders,
     read_corpus,
+    shard_stream,
     write_corpus,
 )
 from osgkit.properties import (
@@ -86,9 +87,7 @@ def _emit(report: dict, fmt: str, render, out) -> None:
 # validate
 
 
-def _cmd_validate(args, out) -> int:
-    s, names = _read_structure(args.file)
-    report = validate(s)
+def _emit_validation(command, args, s, names, report, out) -> int:
     findings = [
         {
             "kind": "axiom_failure",
@@ -99,7 +98,7 @@ def _cmd_validate(args, out) -> int:
         for f in report.failures
     ]
     doc = {
-        "command": "validate",
+        "command": command,
         "options": {"file": args.file},
         "valid": report.valid,
         "findings": findings,
@@ -113,6 +112,11 @@ def _cmd_validate(args, out) -> int:
 
     _emit(doc, args.format, render, out)
     return EXIT_OK if report.valid else EXIT_FINDINGS
+
+
+def _cmd_validate(args, out) -> int:
+    s, names = _read_structure(args.file)
+    return _emit_validation("validate", args, s, names, validate(s), out)
 
 
 # ---------------------------------------------------------------------------
@@ -141,28 +145,7 @@ def _cmd_analyze(args, out) -> int:
     s, names = _read_structure(args.file)
     vreport = validate(s)
     if not vreport.valid:
-        doc = {
-            "command": "analyze",
-            "options": {"file": args.file},
-            "valid": False,
-            "findings": [
-                {
-                    "kind": "axiom_failure",
-                    "structure": canonical_form(s).hex(),
-                    "axiom": f.axiom,
-                    "witness": _names_tuple(names, f.witness),
-                }
-                for f in vreport.failures
-            ],
-        }
-
-        def render(doc, out):
-            out.write(f"structure: {args.file}\nvalid: no\n")
-            for f in doc["findings"]:
-                out.write(f"FAIL {f['axiom']}: witness ({', '.join(f['witness'])})\n")
-
-        _emit(doc, args.format, render, out)
-        return EXIT_FINDINGS
+        return _emit_validation("analyze", args, s, names, vreport, out)
 
     greens = greens_relations(s)
     least = least_complete_semilattice_congruence(s)
@@ -399,9 +382,8 @@ def _cmd_check_theorems(args, out) -> int:
             corpus = read_corpus(text)
         except StructureParseError as exc:
             raise CliError(f"{args.corpus}: {exc}") from None
-        shard = _parse_shard(args.shard) if args.shard else None
-        if shard is not None:
-            corpus = [s for i, s in enumerate(corpus) if i % shard[1] == shard[0]]
+        if args.shard:
+            corpus = list(shard_stream(corpus, _parse_shard(args.shard)))
     else:
         mode = "labelled" if args.labelled else "up_to_iso"
         opts = _options_from_args(args, mode)

@@ -51,7 +51,7 @@ class EnumerationOptions:
                 raise ValueError(f"shard index must be within 0..count-1, got {self.shard}")
 
 
-def _shard_stream(items, shard):
+def shard_stream(items, shard):
     if shard is None:
         yield from items
         return
@@ -135,7 +135,7 @@ def enumerate_semigroups(opts: EnumerationOptions) -> Iterator[tuple[tuple[int, 
         discrete = _leq_flat([[i == j for j in range(n)] for i in range(n)], n)
         keys = sorted({kernel.canonical_key(t, discrete, n) for t in tables})
         stream = [key[1 : 1 + n * n] for key in keys]
-    for flat in _shard_stream(stream, opts.shard):
+    for flat in shard_stream(stream, opts.shard):
         yield tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
 
 
@@ -172,7 +172,7 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
     filtered = (
         s for s in stream if all(predicate(s) for predicate in predicates)
     )
-    yield from _shard_stream(filtered, opts.shard)
+    yield from shard_stream(filtered, opts.shard)
 
 
 # ---------------------------------------------------------------------------

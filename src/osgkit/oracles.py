@@ -122,14 +122,6 @@ def ordered_structures_naive(n: int) -> list[OrderedSemigroup]:
     return out
 
 
-def _relabel_perm(table, n, perm):
-    relabelled = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            relabelled[perm[i]][perm[j]] = perm[table[i][j]]
-    return tuple(tuple(row) for row in relabelled)
-
-
 def greens_by_literal_sets(s: OrderedSemigroup):
     """Green's partitions from equality of the literal, non-closed
     generator sets {a} u Sa, {a} u aS, and {a} u Sa u aS u SaS."""

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from osgkit.relations import greens_relations
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import Subset, downward_closure, principal_ideal, subset_product
+from osgkit.subsets import Subset, downward_closure, subset_product
 
 REGULARITY_KINDS = ("regular", "completely_regular", "right_regular", "left_regular")
 GROUP_LIKE_KINDS = ("two_sided", "left", "right")
@@ -132,14 +132,22 @@ def is_inverse_ordered(s: OrderedSemigroup) -> PropertyReport:
         return PropertyReport(
             "inverse", False, reg.witness, notes="not regular",
         )
-    h = greens_relations(s).H
-    for a in range(s.order):
+    holds, witness = inverses_pairwise_related(
+        s, range(s.order), greens_relations(s).H.related
+    )
+    return PropertyReport("inverse", holds, witness)
+
+
+def inverses_pairwise_related(s: OrderedSemigroup, elements, related):
+    """(holds, witness): related(b, c) for any two inverses b, c of each a
+    in elements; a failing witness is the first such (a, b, c)."""
+    for a in elements:
         inv = inverses_of(s, a).members()
         for b in inv:
             for c in inv:
-                if not h.related(b, c):
-                    return PropertyReport("inverse", False, (a, b, c))
-    return PropertyReport("inverse", True)
+                if not related(b, c):
+                    return False, (a, b, c)
+    return True, None
 
 
 def generator_uniqueness(s: OrderedSemigroup, side: str) -> PropertyReport:
@@ -149,17 +157,18 @@ def generator_uniqueness(s: OrderedSemigroup, side: str) -> PropertyReport:
     if side not in GENERATOR_SIDES:
         raise ValueError(f"side must be one of {GENERATOR_SIDES}, got {side!r}")
     prop = f"generator_uniqueness_{side}"
-    n = s.order
-    ideals = [principal_ideal(s, a, side).bits for a in range(n)]
+    # principal ideals of the side are equal exactly when their
+    # generators are L- (left) or R- (right) related
+    greens = greens_relations(s)
+    same_ideal = greens.L if side == "left" else greens.R
     idem = ordered_idempotents(s).members()
-    idem_ideals = {ideals[e] for e in idem}
-    for a in range(n):
-        if ideals[a] not in idem_ideals:
+    idem_classes = {same_ideal.class_of[e] for e in idem}
+    for a in range(s.order):
+        if same_ideal.class_of[a] not in idem_classes:
             return PropertyReport(prop, False, (a,), notes="no idempotent generator")
-    h = greens_relations(s).H
     for e in idem:
         for f in idem:
-            if ideals[e] == ideals[f] and not h.related(e, f):
+            if same_ideal.related(e, f) and not greens.H.related(e, f):
                 return PropertyReport(prop, False, (e, f), notes="generators not H-related")
     return PropertyReport(prop, True)
 

@@ -19,7 +19,6 @@ then as integer carrier indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from osgkit import kernel
 
@@ -383,9 +382,3 @@ def substructure(s: OrderedSemigroup, members) -> OrderedSemigroup:
     mult = tuple(tuple(new_index[s.mult[a][b]] for b in old) for a in old)
     leq = tuple(tuple(s.leq[a][b] for b in old) for a in old)
     return OrderedSemigroup(len(old), mult, leq)
-
-
-def all_relabelings(s: OrderedSemigroup):
-    """Every relabelling of s, in permutation order (small orders only)."""
-    for perm in permutations(range(s.order)):
-        yield relabel(s, perm)

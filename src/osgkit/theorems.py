@@ -21,6 +21,7 @@ from osgkit.properties import (
     generator_uniqueness,
     h_commutes,
     inverses_of,
+    inverses_pairwise_related,
     is_inverse_ordered,
     ordered_idempotents,
     regularity,
@@ -83,10 +84,6 @@ def _mul(s, *xs):
     return out
 
 
-def _below_set(s, core_members) -> Subset:
-    return downward_closure(s, Subset.of(core_members, s.order))
-
-
 def _sandwich(s, e, f) -> Subset:
     """(e S f], the downward closure of {e*s*f}."""
     n = s.order
@@ -94,64 +91,58 @@ def _sandwich(s, e, f) -> Subset:
     return downward_closure(s, subset_product(s, mid, Subset.of([f], n)))
 
 
-def _gen_unique(s, side) -> Verdict:
-    report = generator_uniqueness(s, side)
+def _report_verdict(report) -> Verdict:
     return report.holds, report.witness
 
 
-def _inverse(s) -> Verdict:
-    report = is_inverse_ordered(s)
-    return report.holds, report.witness
+def _idempotents_h_commute_with(s, idem, others) -> Verdict:
+    """Each ordered idempotent e in idem is H-commutative with each a in
+    others."""
+    for e in idem:
+        for a in others:
+            if not h_commutes(s, e, a):
+                return False, (e, a)
+    return True, None
 
 
 def _regular_and_idempotents_commute(s) -> Verdict:
     reg = regularity(s, "regular")
     if not reg.holds:
         return False, reg.witness
-    idem = ordered_idempotents(s).members()
-    for e in idem:
-        for f in idem:
-            if not h_commutes(s, e, f):
-                return False, (e, f)
-    return True, None
+    idem = ordered_idempotents(s)
+    return _idempotents_h_commute_with(s, idem, idem)
 
 
-def _one_sided_green_forces_h(s) -> Verdict:
+def _green_related_idempotents_h_related(s, relations) -> Verdict:
+    """Ordered idempotents related by any of the named Green relations
+    are H-related."""
     greens = greens_relations(s)
     idem = ordered_idempotents(s).members()
     for e in idem:
         for f in idem:
-            if greens.L.related(e, f) and not greens.H.related(e, f):
-                return False, (e, f)
-            if greens.R.related(e, f) and not greens.H.related(e, f):
+            if not greens.H.related(e, f) and any(
+                getattr(greens, rel).related(e, f) for rel in relations
+            ):
                 return False, (e, f)
     return True, None
 
 
-def _l_iff_inverse_products(s) -> Verdict:
+def _one_sided_iff_inverse_products(s, side) -> Verdict:
+    """left: a L b exactly when a'a H b'b; right: a R b exactly when
+    aa' H bb'; for all inverse choices a', b'."""
     greens = greens_relations(s)
+    one_sided = greens.L if side == "left" else greens.R
     n = s.order
     for a in range(n):
         for b in range(n):
+            lhs = one_sided.related(a, b)
             for ap in inverses_of(s, a):
                 for bp in inverses_of(s, b):
-                    lhs = greens.L.related(a, b)
-                    rhs = greens.H.related(_mul(s, ap, a), _mul(s, bp, b))
-                    if lhs != rhs:
-                        return False, (a, b, ap, bp)
-    return True, None
-
-
-def _r_iff_inverse_products(s) -> Verdict:
-    greens = greens_relations(s)
-    n = s.order
-    for a in range(n):
-        for b in range(n):
-            for ap in inverses_of(s, a):
-                for bp in inverses_of(s, b):
-                    lhs = greens.R.related(a, b)
-                    rhs = greens.H.related(_mul(s, a, ap), _mul(s, b, bp))
-                    if lhs != rhs:
+                    if side == "left":
+                        x, y = _mul(s, ap, a), _mul(s, bp, b)
+                    else:
+                        x, y = _mul(s, a, ap), _mul(s, b, bp)
+                    if lhs != greens.H.related(x, y):
                         return False, (a, b, ap, bp)
     return True, None
 
@@ -203,40 +194,12 @@ def _sandwich_inverses(s) -> Verdict:
     return True, None
 
 
-def _inverse_pair_products_commute(s) -> Verdict:
-    for a in range(s.order):
+def _inverse_pair_products_commute(s, elements) -> Verdict:
+    """aa' and a'a are H-commutative for each a in elements, each a'."""
+    for a in elements:
         for ap in inverses_of(s, a):
             if not h_commutes(s, _mul(s, a, ap), _mul(s, ap, a)):
                 return False, (a, ap)
-    return True, None
-
-
-def _idempotent_inverses_h_related(s) -> Verdict:
-    h = greens_relations(s).H
-    for e in ordered_idempotents(s):
-        inv = inverses_of(s, e).members()
-        for b in inv:
-            for c in inv:
-                if not h.related(b, c):
-                    return False, (e, b, c)
-    return True, None
-
-
-def _idempotent_inverses_commute(s) -> Verdict:
-    for e in ordered_idempotents(s):
-        inv = inverses_of(s, e).members()
-        for b in inv:
-            for c in inv:
-                if not h_commutes(s, b, c):
-                    return False, (e, b, c)
-    return True, None
-
-
-def _idempotent_inverse_pair_products_commute(s) -> Verdict:
-    for e in ordered_idempotents(s):
-        for ep in inverses_of(s, e):
-            if not h_commutes(s, _mul(s, e, ep), _mul(s, ep, e)):
-                return False, (e, ep)
     return True, None
 
 
@@ -244,10 +207,7 @@ def _inverse_and_completely_regular(s) -> Verdict:
     inv = is_inverse_ordered(s)
     if not inv.holds:
         return False, inv.witness
-    cr = regularity(s, "completely_regular")
-    if not cr.holds:
-        return False, cr.witness
-    return True, None
+    return _report_verdict(regularity(s, "completely_regular"))
 
 
 def _group_like_decomposition(s) -> Verdict:
@@ -265,24 +225,6 @@ def _idempotent_products_h_related(s) -> Verdict:
             ab, ba = _mul(s, a, b), _mul(s, b, a)
             if ab in idem and ba in idem and not h.related(ab, ba):
                 return False, (a, b)
-    return True, None
-
-
-def _idempotents_commute_with_all(s) -> Verdict:
-    for e in ordered_idempotents(s):
-        for a in range(s.order):
-            if not h_commutes(s, e, a):
-                return False, (e, a)
-    return True, None
-
-
-def _j_forces_h_on_idempotents(s) -> Verdict:
-    greens = greens_relations(s)
-    idem = ordered_idempotents(s).members()
-    for e in idem:
-        for f in idem:
-            if greens.J.related(e, f) and not greens.H.related(e, f):
-                return False, (e, f)
     return True, None
 
 
@@ -335,19 +277,19 @@ def _register(id: str, description: str, ambient: str | None, fn):
 
 
 _register("T33.L", "principal left ideals have H-unique idempotent generators",
-          None, lambda s: _gen_unique(s, "left"))
+          None, lambda s: _report_verdict(generator_uniqueness(s, "left")))
 _register("T33.R", "principal right ideals have H-unique idempotent generators",
-          None, lambda s: _gen_unique(s, "right"))
+          None, lambda s: _report_verdict(generator_uniqueness(s, "right")))
 _register("T35.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, _inverse)
+          REGULAR, lambda s: _report_verdict(is_inverse_ordered(s)))
 _register("T35.2", "regular with pairwise H-commutative ordered idempotents",
           None, _regular_and_idempotents_commute)
 _register("T35.3", "L- or R-related ordered idempotents are H-related",
-          None, _one_sided_green_forces_h)
+          None, lambda s: _green_related_idempotents_h_related(s, ("L", "R")))
 _register("L4.1", "a L b exactly when a'a H b'b for all inverse choices",
-          REGULAR, _l_iff_inverse_products)
+          REGULAR, lambda s: _one_sided_iff_inverse_products(s, "left"))
 _register("L4.2", "a R b exactly when aa' H bb' for all inverse choices",
-          REGULAR, _r_iff_inverse_products)
+          REGULAR, lambda s: _one_sided_iff_inverse_products(s, "right"))
 _register("L4.3", "aexa' and a'eya land in the ordered idempotents for some x, y",
           REGULAR, _idempotent_conjugates)
 _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
@@ -355,15 +297,17 @@ _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
 _register("TESF", "inverses of members of (eSf] lie in (fSe]",
           None, _sandwich_inverses)
 _register("C.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, _inverse)
+          REGULAR, lambda s: _report_verdict(is_inverse_ordered(s)))
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
-          REGULAR, _inverse_pair_products_commute)
+          REGULAR, lambda s: _inverse_pair_products_commute(s, range(s.order)))
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
-          REGULAR, _idempotent_inverses_h_related)
+          REGULAR, lambda s: inverses_pairwise_related(
+              s, ordered_idempotents(s), greens_relations(s).H.related))
 _register("C.4", "any two inverses of an ordered idempotent are H-commutative",
-          REGULAR, _idempotent_inverses_commute)
+          REGULAR, lambda s: inverses_pairwise_related(
+              s, ordered_idempotents(s), lambda b, c: h_commutes(s, b, c)))
 _register("C.5", "ee' and e'e are H-commutative for idempotent inverse pairs",
-          REGULAR, _idempotent_inverse_pair_products_commute)
+          REGULAR, lambda s: _inverse_pair_products_commute(s, ordered_idempotents(s)))
 _register("B.1", "inverse and completely regular",
           REGULAR, _inverse_and_completely_regular)
 _register("B.2", "complete semilattice decomposition into group-like classes",
@@ -371,9 +315,10 @@ _register("B.2", "complete semilattice decomposition into group-like classes",
 _register("B.3", "ab H ba whenever both products are ordered idempotents",
           REGULAR, _idempotent_products_h_related)
 _register("B.4", "every ordered idempotent is H-commutative with every element",
-          REGULAR, _idempotents_commute_with_all)
+          REGULAR, lambda s: _idempotents_h_commute_with(
+              s, ordered_idempotents(s), range(s.order)))
 _register("B.5", "J-related ordered idempotents are H-related",
-          REGULAR, _j_forces_h_on_idempotents)
+          REGULAR, lambda s: _green_related_idempotents_h_related(s, ("J",)))
 _register("B.6", "H, L, R, J all coincide",
           REGULAR, _all_greens_coincide)
 _register("CR.W", "complete regularity yields a <= axa2 and a <= a2xa",
@@ -586,26 +531,29 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
         keyed.append((canonical_form(s).hex(), s))
     keyed.sort(key=lambda pair: pair[0])
 
-    sweeps = []
-    for tid in ids:
-        kind = THEOREMS[tid].kind
-        met = 0
-        inconsistencies = []
-        outside = []
-        for hexkey, s in keyed:
+    # structure by structure, so each structure's cached facts are used
+    # by every grouping while they are still cached
+    met = [0] * len(ids)
+    inconsistencies = [[] for _ in ids]
+    outside = [[] for _ in ids]
+    for hexkey, s in keyed:
+        for k, tid in enumerate(ids):
             report = check_theorem(s, tid, _canonical_hex=hexkey)
             if report.hypothesis_met:
-                met += 1
+                met[k] += 1
                 if not report.consistent:
-                    inconsistencies.append(InconsistencyRecord(hexkey, s, report))
-            elif _full_vector_disagrees(report, kind):
-                outside.append(InconsistencyRecord(hexkey, s, report))
-        sweeps.append(TheoremSweep(
+                    inconsistencies[k].append(InconsistencyRecord(hexkey, s, report))
+            elif _full_vector_disagrees(report, THEOREMS[tid].kind):
+                outside[k].append(InconsistencyRecord(hexkey, s, report))
+    sweeps = tuple(
+        TheoremSweep(
             theorem=tid,
             checked=len(keyed),
-            hypothesis_met=met,
-            inconsistent=len(inconsistencies),
-            inconsistencies=tuple(inconsistencies),
-            outside_disagreements=tuple(outside),
-        ))
-    return SweepReport(tuple(sweeps), len(keyed), tuple(skipped))
+            hypothesis_met=met[k],
+            inconsistent=len(inconsistencies[k]),
+            inconsistencies=tuple(inconsistencies[k]),
+            outside_disagreements=tuple(outside[k]),
+        )
+        for k, tid in enumerate(ids)
+    )
+    return SweepReport(sweeps, len(keyed), tuple(skipped))

@@ -118,6 +118,16 @@ def test_analyze_invalid_structure_exits_1():
     assert "valid: no" in text
 
 
+def test_analyze_invalid_structure_json_matches_validate():
+    code, doc = run_json("analyze", PX3)
+    _, validated = run_json("validate", PX3)
+    assert code == 1
+    assert doc["command"] == "analyze"
+    assert doc["valid"] is False
+    assert doc["findings"] == validated["findings"]
+    assert {**doc, "command": "validate"} == validated
+
+
 def test_text_and_json_agree_on_findings():
     _, text = run_cli("analyze", SL2)
     _, doc = run_json("analyze", SL2)

@@ -1,6 +1,20 @@
+import hashlib
+from dataclasses import asdict
+
 import pytest
 
-from osgkit.properties import h_commutes, inverses_of, ordered_idempotents
+from osgkit.properties import (
+    GENERATOR_SIDES,
+    GROUP_LIKE_KINDS,
+    REGULARITY_KINDS,
+    generator_uniqueness,
+    h_commutes,
+    inverses_of,
+    is_group_like,
+    is_inverse_ordered,
+    ordered_idempotents,
+    regularity,
+)
 from osgkit.relations import greens_relations
 from osgkit import kernel
 from osgkit.structure import canonical_form, from_table, validate
@@ -252,3 +266,29 @@ def test_sweep_flags_manufactured_disagreement(monkeypatch):
     assert report.theorems[0].inconsistent == 1
     record = report.theorems[0].inconsistencies[0]
     assert record.report.vector[1].holds is False
+
+
+# ---------------------------------------------------------------------------
+# frozen verdicts: every condition and property report, witnesses included
+
+VERDICTS_UPTO3_LABELLED_SHA256 = (
+    "6b51708a33b0ba229928ef8f46f335ab98a97778356695ea5f41d9b10bb99f6a"
+)
+
+
+def _verdict_record(s) -> str:
+    verdicts = [evaluate_condition(s, cid) for cid in condition_ids()]
+    conditions = [(v.condition, v.holds, v.witness, v.hypothesis_met) for v in verdicts]
+    reports = [regularity(s, kind) for kind in REGULARITY_KINDS]
+    reports += [is_group_like(s, kind) for kind in GROUP_LIKE_KINDS]
+    reports.append(is_inverse_ordered(s))
+    reports += [generator_uniqueness(s, side) for side in GENERATOR_SIDES]
+    return repr((s.order, s.mult, s.leq, conditions, [asdict(r) for r in reports]))
+
+
+def test_verdicts_upto_order_3_are_frozen(corpus_upto3_labelled):
+    assert len(corpus_upto3_labelled) == 992
+    digest = hashlib.sha256()
+    for s in corpus_upto3_labelled:
+        digest.update(_verdict_record(s).encode() + b"\n")
+    assert digest.hexdigest() == VERDICTS_UPTO3_LABELLED_SHA256

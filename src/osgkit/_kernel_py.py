@@ -75,19 +75,38 @@ def _partial_ok(cells, n: int, leq, pos: int) -> bool:
             if leq[b * n + i] and not leq[w * n + v]:
                 return False
 
-    for a in range(n):
-        for b in range(n):
-            ab = cells[a * n + b]
-            if ab == _UNSET:
-                continue
-            for c in range(n):
-                bc = cells[b * n + c]
-                if bc == _UNSET:
-                    continue
-                left = cells[ab * n + c]
-                right = cells[a * n + bc]
-                if left != _UNSET and right != _UNSET and left != right:
-                    return False
+    # Only the triples (a, b, c) that read cell (i, j) can newly fail.
+    # Every other triple whose cells are all set was checked when its
+    # last cell was assigned.
+    for c in range(n):  # (a, b) = (i, j): (ab)c = v*c against i(jc)
+        jc = cells[j * n + c]
+        if jc != _UNSET:
+            left = cells[v * n + c]
+            right = cells[i * n + jc]
+            if left != _UNSET and right != _UNSET and left != right:
+                return False
+    for a in range(n):  # (b, c) = (i, j): (ai)j against a(ij) = a*v
+        ai = cells[a * n + i]
+        if ai != _UNSET:
+            left = cells[ai * n + j]
+            right = cells[a * n + v]
+            if left != _UNSET and right != _UNSET and left != right:
+                return False
+    for x in range(n):
+        for y in range(n):
+            w = cells[x * n + y]
+            if w == i:  # (a, b, c) = (x, y, j): (xy)j = v against x(yj)
+                yj = cells[y * n + j]
+                if yj != _UNSET:
+                    right = cells[x * n + yj]
+                    if right != _UNSET and right != v:
+                        return False
+            if w == j:  # (a, b, c) = (i, x, y): (ix)y against i(xy) = v
+                ix = cells[i * n + x]
+                if ix != _UNSET:
+                    left = cells[ix * n + y]
+                    if left != _UNSET and left != v:
+                        return False
     return True
 
 

@@ -19,6 +19,7 @@ from osgkit.enumeration import (
     DEFAULT_MAX_ORDER,
     HARD_MAX_ORDER,
     EnumerationOptions,
+    check_shard,
     enumerate_ordered_semigroups,
     enumerate_partial_orders,
     read_corpus,
@@ -267,9 +268,14 @@ def _cmd_inverses(args, out) -> int:
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         index, count = text.split("/")
-        return int(index), int(count)
+        shard = int(index), int(count)
     except ValueError:
         raise CliError(f"shard must look like i/k, got {text!r}") from None
+    try:
+        check_shard(shard)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    return shard
 
 
 def _options_from_args(args, mode: str) -> EnumerationOptions:

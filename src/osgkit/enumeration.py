@@ -45,10 +45,15 @@ class EnumerationOptions:
                 f"order must be within 1..{limit} "
                 f"(raise order_limit up to {HARD_MAX_ORDER} to go further)"
             )
-        if self.shard is not None:
-            index, count = self.shard
-            if count < 1 or not 0 <= index < count:
-                raise ValueError(f"shard index must be within 0..count-1, got {self.shard}")
+        check_shard(self.shard)
+
+
+def check_shard(shard: tuple[int, int] | None) -> None:
+    """Reject a shard ``(index, count)`` that is not one of ``count`` parts."""
+    if shard is not None:
+        index, count = shard
+        if count < 1 or not 0 <= index < count:
+            raise ValueError(f"shard index must be within 0..count-1, got {shard}")
 
 
 def shard_stream(items, shard):

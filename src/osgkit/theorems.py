@@ -15,6 +15,7 @@ visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Iterable
 
 from osgkit.properties import (
@@ -514,9 +515,25 @@ def _full_vector_disagrees(report: TheoremReport, kind: str) -> bool:
     return not _consistency(kind, forced)
 
 
+def _silent(report: TheoremReport, kind: str) -> bool:
+    """True when the report adds no record to a sweep."""
+    if report.hypothesis_met:
+        return report.consistent
+    return not _full_vector_disagrees(report, kind)
+
+
 def sweep(corpus, theorem_ids=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
-    canonical form.  Invalid corpus members are skipped with a note."""
+    canonical form.  Invalid corpus members are skipped with a note.
+
+    Isomorphic copies share their canonical form, and a condition's
+    ``holds`` and ``hypothesis_met`` must not depend on the labelling
+    (only its witness may), as for every catalog condition.  Each grouping
+    is therefore checked once per isomorphism class, on its first copy in
+    corpus order; when that report adds no record, it is counted for every
+    copy.  Otherwise every copy is checked, so each record carries its own
+    copy's report and witnesses.
+    """
     ids = tuple(theorem_ids) if theorem_ids else tuple(THEOREMS)
     for tid in ids:
         if tid not in THEOREMS:
@@ -531,20 +548,28 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
         keyed.append((canonical_form(s).hex(), s))
     keyed.sort(key=lambda pair: pair[0])
 
-    # structure by structure, so each structure's cached facts are used
-    # by every grouping while they are still cached
+    # class by class, so the first copy's cached facts are used by every
+    # grouping while they are still cached
     met = [0] * len(ids)
     inconsistencies = [[] for _ in ids]
     outside = [[] for _ in ids]
-    for hexkey, s in keyed:
+    for hexkey, group in groupby(keyed, key=lambda pair: pair[0]):
+        copies = [s for _, s in group]
         for k, tid in enumerate(ids):
-            report = check_theorem(s, tid, _canonical_hex=hexkey)
-            if report.hypothesis_met:
-                met[k] += 1
-                if not report.consistent:
-                    inconsistencies[k].append(InconsistencyRecord(hexkey, s, report))
-            elif _full_vector_disagrees(report, THEOREMS[tid].kind):
-                outside[k].append(InconsistencyRecord(hexkey, s, report))
+            kind = THEOREMS[tid].kind
+            first = check_theorem(copies[0], tid, _canonical_hex=hexkey)
+            if _silent(first, kind):
+                if first.hypothesis_met:
+                    met[k] += len(copies)
+                continue
+            for i, s in enumerate(copies):
+                report = first if i == 0 else check_theorem(s, tid, _canonical_hex=hexkey)
+                if report.hypothesis_met:
+                    met[k] += 1
+                    if not report.consistent:
+                        inconsistencies[k].append(InconsistencyRecord(hexkey, s, report))
+                elif _full_vector_disagrees(report, kind):
+                    outside[k].append(InconsistencyRecord(hexkey, s, report))
     sweeps = tuple(
         TheoremSweep(
             theorem=tid,

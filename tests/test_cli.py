@@ -244,6 +244,17 @@ def test_check_theorems_corpus_shard(tmp_path):
     assert total == 20
 
 
+@pytest.mark.parametrize("shard", ["0/0", "5/3", "3/3"])
+def test_check_theorems_rejects_bad_shard(tmp_path, capsys, shard):
+    corpus_file = tmp_path / "c.osg"
+    run_cli("enumerate", "--order", "2", "--out", str(corpus_file))
+    for source in (["--corpus", str(corpus_file)], ["--order", "2"]):
+        code, text = run_cli("check-theorems", *source, "--shard", shard)
+        assert code == 2
+        assert text == ""
+        assert "shard index must be within 0..count-1" in capsys.readouterr().err
+
+
 def test_check_theorems_unknown_theorem():
     code, _ = run_cli("check-theorems", "--order", "2", "--theorem", "THM_X")
     assert code == 2

@@ -5,7 +5,9 @@ either can back the package.  The compiled side comes from the
 ``compiled`` fixture, which builds the C kernel from this checkout.
 """
 
+import importlib.machinery
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +99,26 @@ def test_env_var_forces_pure_backend():
         cwd=Path(__file__).resolve().parents[1] / "src",
     )
     assert result.stdout.strip() == "python"
+
+
+def test_bench_kernel_script_times_every_available_backend():
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernel.py"),
+         "--order", "2", "--repeat", "1"],
+        capture_output=True, text=True, timeout=120, cwd=root,
+    )
+    assert result.returncode == 0, result.stderr
+    # the script imports the compiled kernel from the checkout's src/
+    built = any(
+        (root / "src" / "osgkit" / f"_kernel{suffix}").exists()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    )
+    backends = ["c", "python"] if built else ["python"]
+    lines = result.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("benchmark"))
+    assert [w for w in lines[header].split()[1:] if w != "speedup"] == backends
+    rows = lines[header + 1:]
+    assert len(rows) == 3  # assoc tables, valid tables, canonical keys
+    for row in rows:
+        assert len(re.findall(r"\d+\.\d+ms", row)) == len(backends)

@@ -1,7 +1,10 @@
+import functools
 import hashlib
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osgkit.properties import (
     GENERATOR_SIDES,
@@ -17,11 +20,13 @@ from osgkit.properties import (
 )
 from osgkit.relations import greens_relations
 from osgkit import kernel
-from osgkit.structure import canonical_form, from_table, validate
+from osgkit.enumeration import enumerate_partial_orders
+from osgkit.structure import canonical_form, from_flat, from_table, relabel, validate
 from osgkit.theorems import (
     CONDITIONS,
     THEOREMS,
     SweepReport,
+    _full_vector_disagrees,
     check_theorem,
     condition_ids,
     evaluate_condition,
@@ -292,3 +297,75 @@ def test_verdicts_upto_order_3_are_frozen(corpus_upto3_labelled):
     for s in corpus_upto3_labelled:
         digest.update(_verdict_record(s).encode() + b"\n")
     assert digest.hexdigest() == VERDICTS_UPTO3_LABELLED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# verdicts do not depend on the labelling, so sweeps share them by class
+
+
+def _labelling_free_verdicts(s):
+    conditions = tuple(
+        (v.holds, v.hypothesis_met)
+        for v in (evaluate_condition(s, cid) for cid in condition_ids())
+    )
+    groupings = tuple(
+        (r.consistent, r.hypothesis_met)
+        for r in (check_theorem(s, tid) for tid in theorem_ids())
+    )
+    return conditions, groupings
+
+
+def test_verdicts_agree_within_each_class_upto_order_3(corpus_upto3_labelled):
+    by_class = {}
+    for s in corpus_upto3_labelled:
+        by_class.setdefault(canonical_form(s), set()).add(_labelling_free_verdicts(s))
+    assert len(by_class) == 1 + 11 + 173
+    assert all(len(verdicts) == 1 for verdicts in by_class.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _order_4_tables(poset: int) -> tuple[bytes, list[bytes]]:
+    rel = enumerate_partial_orders(4)[poset]
+    leq = bytes(rel[i][j] for i in range(4) for j in range(4))
+    return leq, kernel.enumerate_valid_tables(4, leq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 218), st.permutations(range(4)), st.data())
+def test_verdicts_survive_random_relabelling_at_order_4(poset, perm, data):
+    leq, tables = _order_4_tables(poset)
+    table = tables[data.draw(st.integers(0, len(tables) - 1))]
+    s = from_flat(4, table, leq)
+    moved = relabel(s, perm)
+    assert canonical_form(moved) == canonical_form(s)
+    assert _labelling_free_verdicts(moved) == _labelling_free_verdicts(s)
+
+
+def test_sweep_equals_checking_every_copy(corpus_upto3_labelled):
+    report = sweep(corpus_upto3_labelled)
+    keyed = sorted(
+        ((canonical_form(s).hex(), s) for s in corpus_upto3_labelled),
+        key=lambda pair: pair[0],
+    )
+    records = 0
+    for entry in report.theorems:
+        kind = THEOREMS[entry.theorem].kind
+        met, inconsistencies, outside = 0, [], []
+        for hexkey, s in keyed:
+            checked = check_theorem(s, entry.theorem)
+            if checked.hypothesis_met:
+                met += 1
+                if not checked.consistent:
+                    inconsistencies.append((hexkey, s, checked))
+            elif _full_vector_disagrees(checked, kind):
+                outside.append((hexkey, s, checked))
+        assert (entry.checked, entry.hypothesis_met, entry.inconsistent) == (
+            len(keyed), met, len(inconsistencies),
+        )
+        assert [(r.canonical, r.structure, r.report) for r in entry.inconsistencies] \
+            == inconsistencies
+        assert [(r.canonical, r.structure, r.report) for r in entry.outside_disagreements] \
+            == outside
+        records += len(inconsistencies) + len(outside)
+    assert report.structures == 992
+    assert records > 0  # the per-copy path is exercised, not only the shared one

@@ -3,7 +3,9 @@
 
 Times the three hot paths (associative-table backtracking, order-constrained
 backtracking, canonical keys) at a chosen order on both backends and prints
-a comparison table.
+a comparison table.  Order-constrained backtracking is timed twice: over
+every labelled poset (labelled enumeration) and over one poset per
+isomorphism class (enumeration up to isomorphism).
 
 Usage:
     python benchmarks/bench_kernel.py [--order N] [--repeat K]
@@ -17,7 +19,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from osgkit import _kernel_py  # noqa: E402
-from osgkit.enumeration import enumerate_partial_orders  # noqa: E402
+from osgkit.enumeration import (  # noqa: E402
+    enumerate_partial_orders,
+    poset_representatives,
+)
 
 try:
     from osgkit import _kernel
@@ -41,17 +46,22 @@ def bench(backend, n, repeat):
     elapsed, tables = best_of(repeat, backend.enumerate_assoc_tables, n)
     rows.append((f"assoc tables n={n} ({len(tables)} found)", elapsed))
 
-    posets = enumerate_partial_orders(n)
-
-    def all_orders():
+    def over(posets):
         total = 0
         for rel in posets:
             leq = bytes(1 if rel[i][j] else 0 for i in range(n) for j in range(n))
             total += len(backend.enumerate_valid_tables(n, leq))
         return total
 
-    elapsed, count = best_of(repeat, all_orders)
+    posets = enumerate_partial_orders(n)
+    elapsed, count = best_of(repeat, over, posets)
     rows.append((f"valid tables over {len(posets)} posets ({count} found)", elapsed))
+
+    classes = poset_representatives(n)
+    elapsed, count = best_of(repeat, over, classes)
+    rows.append(
+        (f"valid tables over {len(classes)} poset classes ({count} found)", elapsed)
+    )
 
     discrete = bytes(1 if i == j else 0 for i in range(n) for j in range(n))
 

@@ -97,18 +97,47 @@ partial_ok(const unsigned char *cells, int n, table_t leq, int pos)
             }
         }
     }
-    for (int a = 0; a < n; a++)
-        for (int b = 0; b < n; b++) {
-            int ab = cells[a * n + b];
-            if (ab == UNSET)
-                continue;
-            for (int c = 0; c < n; c++) {
-                int bc = cells[b * n + c];
-                if (bc == UNSET)
-                    continue;
-                int left = cells[ab * n + c], right = cells[a * n + bc];
-                if (left != UNSET && right != UNSET && left != right)
-                    return 0;
+    /* Only the triples (a, b, c) that read cell (i, j) can newly fail;
+     * every other triple whose cells are all set was checked when its
+     * last cell was assigned. */
+    for (int c = 0; c < n; c++) {
+        /* (a, b) = (i, j): (ij)c = v*c against i(jc) */
+        int jc = cells[j * n + c];
+        if (jc != UNSET) {
+            int left = cells[v * n + c], right = cells[i * n + jc];
+            if (left != UNSET && right != UNSET && left != right)
+                return 0;
+        }
+    }
+    for (int a = 0; a < n; a++) {
+        /* (b, c) = (i, j): (ai)j against a(ij) = a*v */
+        int ai = cells[a * n + i];
+        if (ai != UNSET) {
+            int left = cells[ai * n + j], right = cells[a * n + v];
+            if (left != UNSET && right != UNSET && left != right)
+                return 0;
+        }
+    }
+    for (int x = 0; x < n; x++)
+        for (int y = 0; y < n; y++) {
+            int w = cells[x * n + y];
+            if (w == i) {
+                /* (a, b, c) = (x, y, j): (xy)j = v against x(yj) */
+                int yj = cells[y * n + j];
+                if (yj != UNSET) {
+                    int right = cells[x * n + yj];
+                    if (right != UNSET && right != v)
+                        return 0;
+                }
+            }
+            if (w == j) {
+                /* (a, b, c) = (i, x, y): (ix)y against i(xy) = v */
+                int ix = cells[i * n + x];
+                if (ix != UNSET) {
+                    int left = cells[ix * n + y];
+                    if (left != UNSET && left != v)
+                        return 0;
+                }
             }
         }
     return 1;

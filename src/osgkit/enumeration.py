@@ -3,8 +3,12 @@ semigroups of a given order, labelled or up to isomorphism.
 
 The table search runs order-first: fix a partial order, then backtrack
 the multiplication table cell by cell with incremental associativity and
-compatibility pruning (the kernel's job).  Isomorphism rejection uses the
-full canonical form, affordable for n <= 5.
+compatibility pruning (the kernel's job).  Labelled mode searches every
+labelled poset.  Up to isomorphism, every ordered semigroup is isomorphic
+to one whose order is the first labelled poset of its isomorphism class,
+so the search runs over those class representatives only (16 posets
+instead of 219 at order 4, 63 instead of 4231 at order 5) and each table
+found is reduced to its full canonical form, affordable for n <= 5.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ DEFAULT_MAX_ORDER = 4
 HARD_MAX_ORDER = 5
 
 MODES = ("labelled", "up_to_iso")
+
+# Associative tables on n labelled points (OEIS A023814); the tests check
+# every entry against the kernel's table search.
+ASSOC_TABLE_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,24 @@ def _leq_flat(rel, n: int) -> bytes:
     return bytes(1 if rel[i][j] else 0 for i in range(n) for j in range(n))
 
 
+def poset_representatives(n: int) -> list[tuple[tuple[bool, ...], ...]]:
+    """The first labelled poset of each isomorphism class, in the order of
+    ``enumerate_partial_orders``.
+
+    The left-zero table ``x*y = x`` is fixed by every relabelling, so its
+    canonical key together with a poset is a canonical form of the poset.
+    """
+    left_zero = bytes(i for i in range(n) for _ in range(n))
+    seen = set()
+    reps = []
+    for rel in enumerate_partial_orders(n):
+        key = kernel.canonical_key(left_zero, _leq_flat(rel, n), n)
+        if key not in seen:
+            seen.add(key)
+            reps.append(rel)
+    return reps
+
+
 def enumerate_semigroups(opts: EnumerationOptions) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All associative tables of the given order, labelled in lexicographic
     order or canonical representatives sorted by canonical form."""
@@ -153,11 +179,10 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
     """
     n = opts.order
     predicates = _resolve_filters(opts.filters)
-    posets = enumerate_partial_orders(n)
 
     if opts.mode == "labelled":
         entries = []
-        for rel in posets:
+        for rel in enumerate_partial_orders(n):
             leq = _leq_flat(rel, n)
             for table in kernel.enumerate_valid_tables(n, leq):
                 entries.append((kernel.canonical_key(table, leq, n), table, leq))
@@ -165,7 +190,7 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
         stream = (from_flat(n, table, leq) for _, table, leq in entries)
     else:
         keys = set()
-        for rel in posets:
+        for rel in poset_representatives(n):
             leq = _leq_flat(rel, n)
             for table in kernel.enumerate_valid_tables(n, leq):
                 keys.add(kernel.canonical_key(table, leq, n))

@@ -1,13 +1,19 @@
+import hashlib
 import io
+from itertools import permutations
+from math import factorial
 
 import pytest
 
-from osgkit import oracles
+from osgkit import kernel, oracles
 from osgkit.enumeration import (
+    ASSOC_TABLE_COUNTS,
     EnumerationOptions,
+    _leq_flat,
     enumerate_ordered_semigroups,
     enumerate_partial_orders,
     enumerate_semigroups,
+    poset_representatives,
     read_corpus,
     write_corpus,
 )
@@ -88,6 +94,18 @@ def test_order_5_semigroup_counts(backend):
     assert _semigroup_counts(5) == (183732, 1915)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_assoc_table_counts_match_the_search(backend, n):
+    # check-theorems reports candidates from these counts without a search
+    assert len(kernel.enumerate_assoc_tables(n)) == ASSOC_TABLE_COUNTS[n]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["c"], indirect=True)
+def test_order_5_assoc_table_count_matches_the_search(backend):
+    assert len(kernel.enumerate_assoc_tables(5)) == ASSOC_TABLE_COUNTS[5]
+
+
 # ---------------------------------------------------------------------------
 # partial orders
 
@@ -103,6 +121,33 @@ def test_poset_counts():
 def test_poset_enumeration_matches_naive_filter():
     for n in (1, 2, 3):
         assert sorted(enumerate_partial_orders(n)) == sorted(oracles.posets_naive(n))
+
+
+def _automorphisms(n, mult, leq):
+    """How many permutations fix the row-major (mult, leq) tables."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return sum(
+        all(
+            mult[p[i] * n + p[j]] == p[mult[i * n + j]]
+            and leq[p[i] * n + p[j]] == leq[i * n + j]
+            for i, j in cells
+        )
+        for p in permutations(range(n))
+    )
+
+
+def test_poset_classes_count_and_cover_every_labelled_poset():
+    # unlabelled posets, OEIS A000112; by orbit-stabiliser, the orbits of
+    # the class representatives add up to the labelled posets
+    for n, count in zip((1, 2, 3, 4, 5), (1, 2, 5, 16, 63)):
+        reps = poset_representatives(n)
+        assert len(reps) == count
+        left_zero = bytes(i for i in range(n) for _ in range(n))
+        orbits = sum(
+            factorial(n) // _automorphisms(n, left_zero, _leq_flat(rel, n))
+            for rel in reps
+        )
+        assert orbits == len(enumerate_partial_orders(n))
 
 
 def test_poset_rejects_large_order():
@@ -150,6 +195,33 @@ def test_up_to_iso_representatives_are_canonical(corpus_upto3_iso):
         key = canonical_form(s)
         mult, leq = s.flat()
         assert key == bytes([s.order]) + mult + leq
+
+
+def test_up_to_iso_corpora_cover_the_labelled_structures_and_are_frozen(backend):
+    labelled = {1: 1, 2: 20, 3: 971, 4: 107688}
+    frozen_sha256 = {
+        3: "22df54137f703dc21d7e74363ef3dd0b658d6de86027888543d5878cf93c77ff",
+        4: "a8683fe14894d03e1ecf61a3d5329e7dbbedd3a4db10c1b8acce34648c740d67",
+    }
+    for n, count in labelled.items():
+        opts = EnumerationOptions(n, mode="up_to_iso")
+        classes = list(enumerate_ordered_semigroups(opts))
+        # orbit-stabiliser certificate: sum over classes of n!/|Aut(s)|
+        assert sum(
+            factorial(n) // _automorphisms(n, *s.flat()) for s in classes
+        ) == count
+        if n in frozen_sha256:
+            sink = io.StringIO()
+            write_corpus(sink, classes, opts)
+            digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+            assert digest == frozen_sha256[n]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["c"], indirect=True)
+def test_order_5_up_to_iso_class_count(backend):
+    opts = EnumerationOptions(5, mode="up_to_iso", order_limit=5)
+    assert sum(1 for _ in enumerate_ordered_semigroups(opts)) == 198838
 
 
 def test_inverse_filter_includes_sl2_not_lz2():

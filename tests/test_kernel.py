@@ -119,6 +119,8 @@ def test_bench_kernel_script_times_every_available_backend():
     header = next(i for i, line in enumerate(lines) if line.startswith("benchmark"))
     assert [w for w in lines[header].split()[1:] if w != "speedup"] == backends
     rows = lines[header + 1:]
-    assert len(rows) == 3  # assoc tables, valid tables, canonical keys
+    # assoc tables, valid tables over all posets and over poset classes,
+    # canonical keys
+    assert len(rows) == 4
     for row in rows:
         assert len(re.findall(r"\d+\.\d+ms", row)) == len(backends)

@@ -1,9 +1,10 @@
-"""Pure-Python reference implementation of the hot enumeration kernels.
+"""Pure-Python reference implementation of the hot enumeration kernels:
+the table search and canonical keys.
 
 Same contract as the compiled module ``osgkit._kernel`` (built from
 ``_kernelmodule.c``): tables travel as row-major bytes, orders stay within
-1..5, and bad arguments raise the same ``ValueError`` in both.  This
-version favours obvious correctness over speed; the benchmark in
+1..MAX_ORDER, and bad arguments raise the same ``ValueError`` in both.
+This version favours obvious correctness over speed; the benchmark in
 benchmarks/bench_kernel.py compares the two.
 """
 
@@ -13,7 +14,7 @@ from itertools import permutations
 
 BACKEND = "python"
 
-MAX_N = 5
+MAX_ORDER = 5
 
 _UNSET = 0xFF
 
@@ -26,28 +27,16 @@ def _perms(n: int) -> list[tuple[int, ...]]:
     return _PERM_CACHE[n]
 
 
-def _check(n: int, mult: bytes | None = None, leq: bytes | None = None) -> None:
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"order must be within 1..{MAX_N}")
+def _check(n: int, leq: bytes, mult: bytes | None = None) -> None:
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be within 1..{MAX_ORDER}")
     if mult is not None:
         if len(mult) != n * n:
             raise ValueError("mult must hold n*n bytes")
         if max(mult) >= n:
             raise ValueError("mult entries must be below n")
-    if leq is not None and len(leq) != n * n:
+    if len(leq) != n * n:
         raise ValueError("leq must hold n*n bytes")
-
-
-def find_assoc_violation(mult: bytes, n: int) -> int:
-    """Index i*n*n + j*n + k of the least non-associative triple, or -1."""
-    _check(n, mult)
-    for i in range(n):
-        for j in range(n):
-            ij = mult[i * n + j]
-            for k in range(n):
-                if mult[ij * n + k] != mult[i * n + mult[j * n + k]]:
-                    return (i * n + j) * n + k
-    return -1
 
 
 def _partial_ok(cells, n: int, leq, pos: int) -> bool:
@@ -129,21 +118,17 @@ def _backtrack(n: int, leq: bytes | None) -> list[bytes]:
     return out
 
 
-def enumerate_assoc_tables(n: int) -> list[bytes]:
-    """All associative tables on n labelled points, lexicographic order."""
-    _check(n)
-    return _backtrack(n, None)
-
-
 def enumerate_valid_tables(n: int, leq: bytes) -> list[bytes]:
     """All tables that are associative and compatible with the given order."""
-    _check(n, leq=leq)
-    return _backtrack(n, leq)
+    _check(n, leq)
+    # every table is compatible with the discrete order: skip that pass
+    discrete = all(bool(x) == (k % (n + 1) == 0) for k, x in enumerate(leq))
+    return _backtrack(n, None if discrete else leq)
 
 
 def canonical_key(mult: bytes, leq: bytes, n: int) -> bytes:
     """Minimum over relabelings of order byte + mult table + leq matrix."""
-    _check(n, mult, leq)
+    _check(n, leq, mult)
     best = None
     size = n * n
     cand = bytearray(2 * size)

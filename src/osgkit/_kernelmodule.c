@@ -1,25 +1,27 @@
-/* Compiled enumeration kernels, module osgkit._kernel.
+/* Compiled enumeration kernels, module osgkit._kernel: the table search
+ * and canonical keys.
  *
  * Same contract as the pure-Python reference osgkit._kernel_py: tables
- * travel as row-major bytes and orders are capped at 5, so fixed buffers
- * of 25 cells suffice.  Every argument is checked before it is read.
+ * travel as row-major bytes and orders are capped at MAX_ORDER = 5, so
+ * fixed buffers of 25 cells suffice.  Every argument is checked before it
+ * is read.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
-#define MAX_N 5
+#define MAX_ORDER 5
 #define UNSET 0xFF
 
 typedef const unsigned char *table_t;
 
-/* ValueError unless 1 <= n <= MAX_N; the messages match _kernel_py. */
+/* ValueError unless 1 <= n <= MAX_ORDER; the messages match _kernel_py. */
 static int
 check_order(int n)
 {
-    if (n < 1 || n > MAX_N) {
-        PyErr_Format(PyExc_ValueError, "order must be within 1..%d", MAX_N);
+    if (n < 1 || n > MAX_ORDER) {
+        PyErr_Format(PyExc_ValueError, "order must be within 1..%d", MAX_ORDER);
         return -1;
     }
     return 0;
@@ -47,27 +49,6 @@ check_mult(table_t mult, Py_ssize_t len, int n)
         }
     }
     return 0;
-}
-
-static PyObject *
-find_assoc_violation(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"mult", "n", NULL};
-    table_t m;
-    Py_ssize_t len;
-    int n;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#i", kwlist, &m, &len, &n)
-        || check_order(n) < 0 || check_mult(m, len, n) < 0)
-        return NULL;
-    for (int i = 0; i < n; i++)
-        for (int j = 0; j < n; j++) {
-            int ij = m[i * n + j];
-            for (int k = 0; k < n; k++)
-                if (m[ij * n + k] != m[i * n + m[j * n + k]])
-                    return PyLong_FromLong((i * n + j) * n + k);
-        }
-    return PyLong_FromLong(-1);
 }
 
 /* cells[pos] was just assigned; every cell before pos is known, every
@@ -148,7 +129,7 @@ partial_ok(const unsigned char *cells, int n, table_t leq, int pos)
 static PyObject *
 backtrack(int n, table_t leq)
 {
-    unsigned char cells[MAX_N * MAX_N];
+    unsigned char cells[MAX_ORDER * MAX_ORDER];
     int total = n * n, depth = 0;
     PyObject *out = PyList_New(0);
 
@@ -184,18 +165,6 @@ backtrack(int n, table_t leq)
 }
 
 static PyObject *
-enumerate_assoc_tables(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", NULL};
-    int n;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i", kwlist, &n)
-        || check_order(n) < 0)
-        return NULL;
-    return backtrack(n, NULL);
-}
-
-static PyObject *
 enumerate_valid_tables(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "leq", NULL};
@@ -206,7 +175,11 @@ enumerate_valid_tables(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy#", kwlist, &n, &leq, &len)
         || check_order(n) < 0 || check_size("leq", len, n) < 0)
         return NULL;
-    return backtrack(n, leq);
+    /* every table is compatible with the discrete order: skip that pass */
+    for (int k = 0; k < n * n; k++)
+        if ((leq[k] != 0) != (k % (n + 1) == 0))
+            return backtrack(n, leq);
+    return backtrack(n, NULL);
 }
 
 /* Step q to the next permutation in lexicographic order; 0 after the last. */
@@ -233,8 +206,8 @@ canonical_key(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"mult", "leq", "n", NULL};
     table_t m, leq;
     Py_ssize_t mlen, llen;
-    int n, q[MAX_N], p[MAX_N], first = 1;
-    unsigned char key[1 + 2 * MAX_N * MAX_N];
+    int n, q[MAX_ORDER], p[MAX_ORDER], first = 1;
+    unsigned char key[1 + 2 * MAX_ORDER * MAX_ORDER];
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#y#i", kwlist,
                                      &m, &mlen, &leq, &llen, &n)
@@ -273,10 +246,6 @@ canonical_key(PyObject *self, PyObject *args, PyObject *kwargs)
     {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
 
 static PyMethodDef kernel_methods[] = {
-    METHOD(find_assoc_violation,
-           "Index i*n*n + j*n + k of the least non-associative triple, or -1."),
-    METHOD(enumerate_assoc_tables,
-           "All associative tables on n labelled points, lexicographic order."),
     METHOD(enumerate_valid_tables,
            "All tables that are associative and compatible with the given order."),
     METHOD(canonical_key,
@@ -295,7 +264,9 @@ PyInit__kernel(void)
 {
     PyObject *module = PyModule_Create(&kernel_module);
 
-    if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "c") < 0)
+    if (module != NULL
+        && (PyModule_AddStringConstant(module, "BACKEND", "c") < 0
+            || PyModule_AddIntConstant(module, "MAX_ORDER", MAX_ORDER) < 0))
         Py_CLEAR(module);
     return module;
 }

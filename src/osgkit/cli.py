@@ -29,6 +29,7 @@ from osgkit.enumeration import (
 )
 from osgkit.properties import (
     generator_uniqueness,
+    inverses_of,
     is_group_like,
     is_inverse_ordered,
     ordered_idempotents,
@@ -46,7 +47,6 @@ from osgkit.structure import (
 )
 from osgkit.subsets import is_simple
 from osgkit.theorems import check_theorem, sweep, theorem_ids
-from osgkit.properties import inverses_of
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -66,15 +66,28 @@ def _names_tuple(names, indices):
     )
 
 
+def _check_orders(path: str, structures) -> None:
+    """Every report carries a canonical form, which the kernel computes
+    only for orders 1..HARD_MAX_ORDER."""
+    for s in structures:
+        if s.order > HARD_MAX_ORDER:
+            raise CliError(
+                f"{path}: order {s.order} is outside 1..{HARD_MAX_ORDER}, "
+                "the orders that have canonical forms"
+            )
+
+
 def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     try:
-        return parse_named_structure(text)
+        s, names = parse_named_structure(text)
     except StructureParseError as exc:
         raise CliError(f"{path}: {exc}") from None
+    _check_orders(path, [s])
+    return s, names
 
 
 def _emit(report: dict, fmt: str, render, out) -> None:
@@ -389,6 +402,7 @@ def _cmd_check_theorems(args, out) -> int:
             corpus = read_corpus(text)
         except StructureParseError as exc:
             raise CliError(f"{args.corpus}: {exc}") from None
+        _check_orders(args.corpus, corpus)
         if args.shard:
             corpus = list(shard_stream(corpus, _parse_shard(args.shard)))
     else:

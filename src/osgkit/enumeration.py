@@ -27,7 +27,7 @@ from osgkit.structure import (
 )
 
 DEFAULT_MAX_ORDER = 4
-HARD_MAX_ORDER = 5
+HARD_MAX_ORDER = kernel.MAX_ORDER
 
 MODES = ("labelled", "up_to_iso")
 

@@ -1,8 +1,10 @@
 """Kernel selection: compiled extension when importable, pure Python otherwise.
 
-The compiled module ``osgkit._kernel`` is built by ``setup.py`` from the
-hand-written ``_kernelmodule.c``; ``_kernel_py`` is the reference it must
-match.  Set OSGKIT_PURE=1 to force the fallback.
+Each backend exports the table search ``enumerate_valid_tables`` and
+``canonical_key`` for orders 1..``MAX_ORDER``.  The compiled module
+``osgkit._kernel`` is built by ``setup.py`` from the hand-written
+``_kernelmodule.c``; ``_kernel_py`` is the reference it must match.  Set
+OSGKIT_PURE=1 to force the fallback.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ else:
         from osgkit import _kernel_py as _impl
 
 BACKEND: str = _impl.BACKEND
+MAX_ORDER: int = _impl.MAX_ORDER
 
-find_assoc_violation = _impl.find_assoc_violation
-enumerate_assoc_tables = _impl.enumerate_assoc_tables
 enumerate_valid_tables = _impl.enumerate_valid_tables
 canonical_key = _impl.canonical_key
+
+
+def enumerate_assoc_tables(n: int) -> list[bytes]:
+    """All associative tables on n labelled points, lexicographic order:
+    the valid tables over the discrete order."""
+    return enumerate_valid_tables(n, bytes(i == j for i in range(n) for j in range(n)))

@@ -244,19 +244,19 @@ def validate(s: OrderedSemigroup) -> ValidationReport:
     Reports the lexicographically least witness for each failed axiom:
     (i, j, k) for associativity and transitivity, (i,) for reflexivity,
     (i, j) for antisymmetry, and (a, b, x) for compatibility where a <= b
-    but the products of x with a and b are not ordered.  Like every kernel
-    call, the associativity scan accepts orders 1..5 only (ValueError).
+    but the products of x with a and b are not ordered.  Works at any order.
     """
     n, mult, leq = s.order, s.mult, s.leq
     rng = range(n)
     failures = []
 
-    # the kernel scans (i, j, k) lexicographically and returns the least index
-    index = kernel.find_assoc_violation(s.flat()[0], n)
-    if index >= 0:
-        ij, k = divmod(index, n)
-        i, j = divmod(ij, n)
-        failures.append(AxiomFailure("associativity", (i, j, k)))
+    witness = next(
+        ((i, j, k) for i, row in enumerate(mult) for j, ij in enumerate(row)
+         for k in rng if mult[ij][k] != row[mult[j][k]]),
+        None,
+    )
+    if witness:
+        failures.append(AxiomFailure("associativity", witness))
 
     for i in rng:
         if not leq[i][i]:

@@ -78,12 +78,7 @@ def corpus_upto3_iso():
 # kernel backends
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL_FUNCTIONS = (
-    "find_assoc_violation",
-    "enumerate_assoc_tables",
-    "enumerate_valid_tables",
-    "canonical_key",
-)
+KERNEL_FUNCTIONS = ("enumerate_valid_tables", "canonical_key")
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 
 from osgkit.cli import main
 from osgkit.fixtures import fixture_path
+from osgkit.structure import format_structure, from_table
 
 
 def run_cli(*argv):
@@ -57,6 +58,25 @@ def test_validate_json_findings():
 def test_validate_missing_file_exits_2(capsys):
     code, _ = run_cli("validate", "no/such/file.osg")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{path}"],
+    ["analyze", "{path}"],
+    ["inverses", "{path}", "e0"],
+    ["check-theorems", "--corpus", "{path}"],
+])
+def test_orders_above_the_limit_exit_2(tmp_path, capsys, command):
+    chain = tmp_path / "chain6.osg"
+    chain.write_text(format_structure(from_table(
+        [[min(i, j) for j in range(6)] for i in range(6)],
+        [(i, j) for i in range(6) for j in range(i + 1, 6)],
+    )))
+    code, _ = run_cli(*(arg.format(path=chain) for arg in command))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {chain}: order 6 is outside 1..5" in err
+    assert "Traceback" not in err
 
 
 def test_validate_malformed_file_exits_2(tmp_path):

@@ -28,9 +28,18 @@ def test_backends_report_their_names(compiled):
     assert kernel.BACKEND in ("c", "python")
 
 
+def test_backends_share_max_order(compiled):
+    assert {name for name in dir(compiled) if not name.startswith("_")} == {
+        "BACKEND", "MAX_ORDER", "enumerate_valid_tables", "canonical_key",
+    }
+    assert compiled.MAX_ORDER == _kernel_py.MAX_ORDER == kernel.MAX_ORDER == 5
+
+
 def test_assoc_table_streams_identical(compiled):
     for n in (1, 2, 3, 4):
-        assert compiled.enumerate_assoc_tables(n) == _kernel_py.enumerate_assoc_tables(n)
+        discrete = bytes(i == j for i in range(n) for j in range(n))
+        assert compiled.enumerate_valid_tables(n, discrete) == \
+            _kernel_py.enumerate_valid_tables(n, discrete)
 
 
 def test_valid_table_streams_identical_over_all_posets(compiled):
@@ -39,15 +48,6 @@ def test_valid_table_streams_identical_over_all_posets(compiled):
             leq = _leq_flat(rel, n)
             assert compiled.enumerate_valid_tables(n, leq) == \
                 _kernel_py.enumerate_valid_tables(n, leq)
-
-
-def test_assoc_violation_parity_on_random_tables(compiled):
-    rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        mult = bytes(rng.randrange(n) for _ in range(n * n))
-        assert compiled.find_assoc_violation(mult, n) == \
-            _kernel_py.find_assoc_violation(mult, n)
 
 
 def test_canonical_key_parity_on_random_inputs(compiled):
@@ -64,13 +64,15 @@ def test_canonical_key_parity_on_random_inputs(compiled):
 
 
 ERROR_CASES = [
-    ("enumerate_assoc_tables", (0,), "order must be within 1..5"),
-    ("enumerate_assoc_tables", (6,), "order must be within 1..5"),
+    # the calls kernel.enumerate_assoc_tables(0) and (6) make
+    ("enumerate_valid_tables", (0, b""), "order must be within 1..5"),
+    ("enumerate_valid_tables", (6, bytes(i == j for i in range(6) for j in range(6))),
+     "order must be within 1..5"),
     ("enumerate_valid_tables", (6, b"\x01" * 36), "order must be within 1..5"),
     ("enumerate_valid_tables", (2, b"\x01"), "leq must hold n*n bytes"),
-    ("find_assoc_violation", (b"\x00" * 36, 6), "order must be within 1..5"),
-    ("find_assoc_violation", (b"\x00" * 3, 2), "mult must hold n*n bytes"),
-    ("find_assoc_violation", (b"\x00\x00\x00\x02", 2), "mult entries must be below n"),
+    ("canonical_key", (b"", b"", 0), "order must be within 1..5"),
+    ("canonical_key", (b"\x00" * 3, b"\x01" * 4, 2), "mult must hold n*n bytes"),
+    ("canonical_key", (b"\x00" * 4, b"\x01" * 5, 2), "leq must hold n*n bytes"),
     ("canonical_key", (b"\x00" * 36, b"\x01" * 36, 6), "order must be within 1..5"),
     ("canonical_key", (b"\x00" * 5, b"\x01" * 4, 2), "mult must hold n*n bytes"),
     ("canonical_key", (b"\x00\x00\x00\x02", b"\x01" * 4, 2), "mult entries must be below n"),

@@ -198,23 +198,22 @@ def test_validate_witnesses_are_sound(s):
     assert report.valid == (not report.failures)
 
 
-@given(raw_structures(max_order=5))
+@given(raw_structures(max_order=7))
 def test_validate_associativity_witness_is_least_triple(s):
-    n, mult = s.order, s.mult
-    failing = [
-        (i, j, k)
-        for i in range(n) for j in range(n) for k in range(n)
-        if mult[mult[i][j]][k] != mult[i][mult[j][k]]
-    ]
+    failing = oracles.assoc_failures(s.mult)
     witnesses = {f.axiom: f.witness for f in validate(s).failures}
     assert witnesses.get("associativity") == (failing[0] if failing else None)
 
 
-def test_validate_rejects_orders_above_the_kernel_limit():
-    s = OrderedSemigroup(6, ((0,) * 6,) * 6, tuple(
-        tuple(i == j for j in range(6)) for i in range(6)))
-    with pytest.raises(ValueError, match="order must be within 1..5"):
-        validate(s)
+def test_validate_works_above_the_search_limit():
+    chain = [[min(i, j) for j in range(6)] for i in range(6)]
+    order = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert validate(from_table(chain, order)).valid
+    chain[2][3] = 1  # (2*3)*2 = 1 but 2*(3*2) = 2
+    broken = from_table(chain, order)
+    failures = {f.axiom: f.witness for f in validate(broken).failures}
+    assert failures["associativity"] == (2, 3, 2)
+    assert oracles.assoc_failures(broken.mult)[0] == (2, 3, 2)
 
 
 @given(raw_structures())

@@ -20,7 +20,11 @@ from osgkit.properties import (
 )
 from osgkit.relations import greens_relations
 from osgkit import kernel
-from osgkit.enumeration import enumerate_partial_orders
+from osgkit.enumeration import (
+    EnumerationOptions,
+    enumerate_ordered_semigroups,
+    enumerate_partial_orders,
+)
 from osgkit.structure import canonical_form, from_flat, from_table, relabel, validate
 from osgkit.theorems import (
     CONDITIONS,
@@ -369,3 +373,47 @@ def test_sweep_equals_checking_every_copy(corpus_upto3_labelled):
         records += len(inconsistencies) + len(outside)
     assert report.structures == 992
     assert records > 0  # the per-copy path is exercised, not only the shared one
+
+
+# ---------------------------------------------------------------------------
+# "inverse" against "inverse and completely regular"
+
+
+def _brandt_b2():
+    # 0 is the zero and 1, 2, 3, 4 are e11, e12, e21, e22, where
+    # e_ij * e_kl = e_il when j == k and 0 otherwise
+    units = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
+    index = {ij: x for x, ij in units.items()}
+
+    def mul(a, b):
+        if not a or not b:
+            return 0
+        (i, j), (k, l) = units[a], units[b]
+        return index[i, l] if j == k else 0
+
+    return from_table([[mul(a, b) for b in range(5)] for a in range(5)])
+
+
+B2_FAILURES = {
+    "B.1": (2,), "B.2": None, "B.3": (2, 3), "B.4": (1, 2), "B.5": (1, 4), "B.6": (1, 2),
+}
+
+
+def test_brandt_b2_separates_inverse_from_completely_regular():
+    b2 = _brandt_b2()
+    assert validate(b2).valid
+    verdicts = {cid: evaluate_condition(b2, cid) for cid in condition_ids()}
+    assert all(v.hypothesis_met for v in verdicts.values())
+    assert {cid: v.witness for cid, v in verdicts.items() if not v.holds} == B2_FAILURES
+    for tid in theorem_ids():
+        report = check_theorem(b2, tid)
+        assert report.hypothesis_met and report.consistent, tid
+
+
+def test_inverse_and_b1_agree_up_to_order_4():
+    for n, classes in zip((1, 2, 3, 4), (1, 11, 173, 4753)):
+        corpus = list(enumerate_ordered_semigroups(EnumerationOptions(n, mode="up_to_iso")))
+        assert len(corpus) == classes
+        inverse = [evaluate_condition(s, "T35.1").holds for s in corpus]
+        assert [evaluate_condition(s, "B.1").holds for s in corpus] == inverse
+    assert sum(inverse) == 1095  # of the order-4 classes

@@ -1,5 +1,6 @@
 """Pure-Python reference implementation of the hot enumeration kernels:
-the table search and canonical keys.
+the table search, optionally up to the order's automorphisms, and
+canonical keys.
 
 Same contract as the compiled module ``osgkit._kernel`` (built from
 ``_kernelmodule.c``): tables travel as row-major bytes, orders stay within
@@ -99,7 +100,37 @@ def _partial_ok(cells, n: int, leq, pos: int) -> bool:
     return True
 
 
-def _backtrack(n: int, leq: bytes | None) -> list[bytes]:
+def _automorphisms(n: int, leq: bytes) -> list[tuple[list[int], tuple[int, ...]]]:
+    """The relabellings p other than the identity that fix leq.  Each is
+    given as (src, p): the image table, whose cell (p[a], p[b]) holds
+    p[T(a, b)], reads cell src[k] of T for its cell k and relabels by p."""
+    auts = []
+    for p in _perms(n)[1:]:  # the first is the identity
+        if all(leq[p[k // n] * n + p[k % n]] == leq[k] for k in range(n * n)):
+            inv = sorted(range(n), key=p.__getitem__)
+            auts.append(([inv[k // n] * n + inv[k % n] for k in range(n * n)], p))
+    return auts
+
+
+def _least_in_orbit(cells, auts, pos: int) -> bool:
+    # cells[0..pos] are known.  False when some automorphism maps them
+    # lower: its image and the table agree up to a cell where both are
+    # known, and there the image is smaller.  Every completion then has a
+    # smaller image; on a full table this is the whole orbit-minimality test.
+    for src, perm in auts:
+        for k in range(pos + 1):
+            s = src[k]
+            if s > pos:
+                break
+            image = perm[cells[s]]
+            if image != cells[k]:
+                if image < cells[k]:
+                    return False
+                break
+    return True
+
+
+def _backtrack(n: int, leq: bytes | None, auts) -> list[bytes]:
     total = n * n
     cells = bytearray([_UNSET]) * total
     out: list[bytes] = []
@@ -110,7 +141,7 @@ def _backtrack(n: int, leq: bytes | None) -> list[bytes]:
             return
         for v in range(n):
             cells[pos] = v
-            if _partial_ok(cells, n, leq, pos):
+            if _partial_ok(cells, n, leq, pos) and _least_in_orbit(cells, auts, pos):
                 fill(pos + 1)
         cells[pos] = _UNSET
 
@@ -118,12 +149,15 @@ def _backtrack(n: int, leq: bytes | None) -> list[bytes]:
     return out
 
 
-def enumerate_valid_tables(n: int, leq: bytes) -> list[bytes]:
-    """All tables that are associative and compatible with the given order."""
+def enumerate_valid_tables(n: int, leq: bytes, *, orbit_minimal: bool = False) -> list[bytes]:
+    """All tables that are associative and compatible with the given order;
+    with orbit_minimal, only the least table of each orbit under the
+    order's automorphisms."""
     _check(n, leq)
+    auts = _automorphisms(n, leq) if orbit_minimal else []
     # every table is compatible with the discrete order: skip that pass
     discrete = all(bool(x) == (k % (n + 1) == 0) for k, x in enumerate(leq))
-    return _backtrack(n, None if discrete else leq)
+    return _backtrack(n, None if discrete else leq, auts)
 
 
 def canonical_key(mult: bytes, leq: bytes, n: int) -> bytes:

@@ -3,8 +3,8 @@
  *
  * Same contract as the pure-Python reference osgkit._kernel_py: tables
  * travel as row-major bytes and orders are capped at MAX_ORDER = 5, so
- * fixed buffers of 25 cells suffice.  Every argument is checked before it
- * is read.
+ * fixed buffers of 25 cells, and the at most 5! - 1 automorphisms of an
+ * order, fit on the stack.  Every argument is checked before it is read.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -12,6 +12,7 @@
 #include <string.h>
 
 #define MAX_ORDER 5
+#define MAX_AUTS (120 - 1)  /* MAX_ORDER! relabellings, less the identity */
 #define UNSET 0xFF
 
 typedef const unsigned char *table_t;
@@ -124,10 +125,84 @@ partial_ok(const unsigned char *cells, int n, table_t leq, int pos)
     return 1;
 }
 
+/* Step q to the next permutation in lexicographic order; 0 after the last. */
+static int
+next_permutation(int *q, int n)
+{
+    int i = n - 2, j = n - 1, t;
+
+    while (i >= 0 && q[i] >= q[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    while (q[j] <= q[i])
+        j--;
+    t = q[i], q[i] = q[j], q[j] = t;
+    for (i++, j = n - 1; i < j; i++, j--)
+        t = q[i], q[i] = q[j], q[j] = t;
+    return 1;
+}
+
+/* A relabelling s of the carrier that fixes the order: the image table
+ * (sT)(i, j) = s(T(s^-1 i, s^-1 j)) reads cell src[k] of T for its cell k
+ * and relabels that value by map. */
+typedef struct {
+    unsigned char src[MAX_ORDER * MAX_ORDER];
+    unsigned char map[MAX_ORDER];
+} aut_t;
+
+/* Fill auts with the automorphisms of leq other than the identity; returns
+ * their count. */
+static int
+list_automorphisms(int n, table_t leq, aut_t *auts)
+{
+    int q[MAX_ORDER], inv[MAX_ORDER], count = 0;
+
+    for (int a = 0; a < n; a++)
+        q[a] = a;
+    while (next_permutation(q, n)) {  /* the identity comes first: skipped */
+        int fixed = 1;
+        for (int k = 0; k < n * n && fixed; k++)
+            fixed = leq[q[k / n] * n + q[k % n]] == leq[k];
+        if (!fixed)
+            continue;
+        for (int a = 0; a < n; a++)
+            inv[q[a]] = a;
+        for (int k = 0; k < n * n; k++)
+            auts[count].src[k] = (unsigned char)(inv[k / n] * n + inv[k % n]);
+        for (int a = 0; a < n; a++)
+            auts[count].map[a] = (unsigned char)q[a];
+        count++;
+    }
+    return count;
+}
+
+/* cells[0..pos] are known.  False when some automorphism maps them lower:
+ * its image and the table agree up to a cell where both are known, and
+ * there the image is smaller.  Every completion then has a smaller image;
+ * on a full table this is the whole orbit-minimality test. */
+static int
+least_in_orbit(const unsigned char *cells, const aut_t *auts, int count, int pos)
+{
+    for (int a = 0; a < count; a++) {
+        const aut_t *s = &auts[a];
+        for (int k = 0; k <= pos && s->src[k] <= pos; k++) {
+            int image = s->map[cells[s->src[k]]];
+            if (image != cells[k]) {
+                if (image < cells[k])
+                    return 0;
+                break;
+            }
+        }
+    }
+    return 1;
+}
+
 /* Depth-first fill in row-major cell order, values ascending, so the
- * tables come out in lexicographic order. */
+ * tables come out in lexicographic order.  Given count automorphisms, it
+ * keeps only the least table of each orbit under them. */
 static PyObject *
-backtrack(int n, table_t leq)
+backtrack(int n, table_t leq, const aut_t *auts, int count)
 {
     unsigned char cells[MAX_ORDER * MAX_ORDER];
     int total = n * n, depth = 0;
@@ -151,7 +226,8 @@ backtrack(int n, table_t leq)
         int v = cells[depth] == UNSET ? 0 : cells[depth] + 1;
         for (; v < n; v++) {
             cells[depth] = (unsigned char)v;
-            if (partial_ok(cells, n, leq, depth))
+            if (partial_ok(cells, n, leq, depth)
+                && least_in_orbit(cells, auts, count, depth))
                 break;
         }
         if (v < n) {
@@ -167,37 +243,23 @@ backtrack(int n, table_t leq)
 static PyObject *
 enumerate_valid_tables(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "leq", NULL};
+    static char *kwlist[] = {"n", "leq", "orbit_minimal", NULL};
+    aut_t auts[MAX_AUTS];
     table_t leq;
     Py_ssize_t len;
-    int n;
+    int n, orbit_minimal = 0, count = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy#", kwlist, &n, &leq, &len)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iy#|$p", kwlist,
+                                     &n, &leq, &len, &orbit_minimal)
         || check_order(n) < 0 || check_size("leq", len, n) < 0)
         return NULL;
+    if (orbit_minimal)
+        count = list_automorphisms(n, leq, auts);
     /* every table is compatible with the discrete order: skip that pass */
     for (int k = 0; k < n * n; k++)
         if ((leq[k] != 0) != (k % (n + 1) == 0))
-            return backtrack(n, leq);
-    return backtrack(n, NULL);
-}
-
-/* Step q to the next permutation in lexicographic order; 0 after the last. */
-static int
-next_permutation(int *q, int n)
-{
-    int i = n - 2, j = n - 1, t;
-
-    while (i >= 0 && q[i] >= q[i + 1])
-        i--;
-    if (i < 0)
-        return 0;
-    while (q[j] <= q[i])
-        j--;
-    t = q[i], q[i] = q[j], q[j] = t;
-    for (i++, j = n - 1; i < j; i++, j--)
-        t = q[i], q[i] = q[j], q[j] = t;
-    return 1;
+            return backtrack(n, leq, auts, count);
+    return backtrack(n, NULL, auts, count);
 }
 
 static PyObject *
@@ -247,7 +309,9 @@ canonical_key(PyObject *self, PyObject *args, PyObject *kwargs)
 
 static PyMethodDef kernel_methods[] = {
     METHOD(enumerate_valid_tables,
-           "All tables that are associative and compatible with the given order."),
+           "All tables that are associative and compatible with the given order;\n"
+           "with orbit_minimal, only the least table of each orbit under the\n"
+           "order's automorphisms."),
     METHOD(canonical_key,
            "Minimum over relabelings of order byte + mult table + leq matrix."),
     {NULL, NULL, 0, NULL},

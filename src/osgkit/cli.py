@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from osgkit import oracles
 from osgkit.enumeration import (
@@ -295,6 +294,10 @@ def _parse_shard(text: str) -> tuple[int, int]:
 def _options_from_args(args, mode: str) -> EnumerationOptions:
     shard = _parse_shard(args.shard) if getattr(args, "shard", None) else None
     limit = HARD_MAX_ORDER if getattr(args, "unlock_order_5", False) else DEFAULT_MAX_ORDER
+    if limit < args.order <= HARD_MAX_ORDER:
+        raise CliError(
+            f"order must be within 1..{limit} (pass --unlock-order-5 to go further)"
+        )
     try:
         return EnumerationOptions(
             order=args.order,
@@ -312,8 +315,8 @@ def _cmd_enumerate(args, out) -> int:
     opts = _options_from_args(args, mode)
     try:
         structures = list(enumerate_ordered_semigroups(opts))
-    except KeyError as exc:
-        raise CliError(str(exc)) from None
+    except KeyError as exc:  # an unknown filter
+        raise CliError(exc.args[0]) from None
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as sink:
@@ -349,12 +352,15 @@ def _cmd_enumerate(args, out) -> int:
 
 def _vector_json(report, order):
     names = default_names(order)
-    out = []
-    for v in report.vector:
-        entry = asdict(v)
-        entry["witness"] = _names_tuple(names, v.witness)
-        out.append(entry)
-    return out
+    return [
+        {
+            "condition": v.condition,
+            "holds": v.holds,
+            "witness": _names_tuple(names, v.witness),
+            "hypothesis_met": v.hypothesis_met,
+        }
+        for v in report.vector
+    ]
 
 
 def _theorem_findings(report):

@@ -7,8 +7,10 @@ compatibility pruning (the kernel's job).  Labelled mode searches every
 labelled poset.  Up to isomorphism, every ordered semigroup is isomorphic
 to one whose order is the first labelled poset of its isomorphism class,
 so the search runs over those class representatives only (16 posets
-instead of 219 at order 4, 63 instead of 4231 at order 5) and each table
-found is reduced to its full canonical form, affordable for n <= 5.
+instead of 219 at order 4, 63 instead of 4231 at order 5).  Over each
+representative it keeps only the least table of each orbit under the
+poset's automorphisms, which is one table per class; each is reduced once
+to its full canonical form, affordable for n <= 5.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ class EnumerationOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         limit = min(self.order_limit, HARD_MAX_ORDER)
         if not 1 <= self.order <= limit:
-            raise ValueError(
-                f"order must be within 1..{limit} "
-                f"(raise order_limit up to {HARD_MAX_ORDER} to go further)"
+            hint = (
+                f" (raise order_limit up to {HARD_MAX_ORDER} to go further)"
+                if limit < self.order <= HARD_MAX_ORDER else ""
             )
+            raise ValueError(f"order must be within 1..{limit}{hint}")
         check_shard(self.shard)
 
 
@@ -159,15 +162,17 @@ def enumerate_semigroups(opts: EnumerationOptions) -> Iterator[tuple[tuple[int, 
     """All associative tables of the given order, labelled in lexicographic
     order or canonical representatives sorted by canonical form."""
     n = opts.order
-    tables = kernel.enumerate_assoc_tables(n)
     if opts.mode == "labelled":
-        stream = tables
+        stream = kernel.enumerate_assoc_tables(n)
     else:
+        # every relabelling fixes the discrete order, so the least table
+        # of each orbit is one table per isomorphism class
         discrete = _leq_flat([[i == j for j in range(n)] for i in range(n)], n)
-        keys = sorted({kernel.canonical_key(t, discrete, n) for t in tables})
+        tables = kernel.enumerate_valid_tables(n, discrete, orbit_minimal=True)
+        keys = sorted([kernel.canonical_key(t, discrete, n) for t in tables])
         stream = [key[1 : 1 + n * n] for key in keys]
     for flat in shard_stream(stream, opts.shard):
-        yield tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        yield tuple(tuple(flat[i * n : i * n + n]) for i in range(n))
 
 
 def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSemigroup]:
@@ -179,6 +184,7 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
     """
     n = opts.order
     predicates = _resolve_filters(opts.filters)
+    shared: dict = {}  # equal rows and orders become one tuple object
 
     if opts.mode == "labelled":
         entries = []
@@ -187,16 +193,21 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
             for table in kernel.enumerate_valid_tables(n, leq):
                 entries.append((kernel.canonical_key(table, leq, n), table, leq))
         entries.sort()
-        stream = (from_flat(n, table, leq) for _, table, leq in entries)
+        stream = (from_flat(n, table, leq, shared) for _, table, leq in entries)
     else:
-        keys = set()
+        # Two tables over one representative are isomorphic exactly when an
+        # automorphism of its order maps one to the other, so the least
+        # table of each orbit stands for one class, and no two of them,
+        # over one or two representatives, share a canonical key.
+        keys = []
         for rel in poset_representatives(n):
             leq = _leq_flat(rel, n)
-            for table in kernel.enumerate_valid_tables(n, leq):
-                keys.add(kernel.canonical_key(table, leq, n))
+            for table in kernel.enumerate_valid_tables(n, leq, orbit_minimal=True):
+                keys.append(kernel.canonical_key(table, leq, n))
+        keys.sort()
         stream = (
-            from_flat(n, key[1 : 1 + n * n], key[1 + n * n :])
-            for key in sorted(keys)
+            from_flat(n, key[1 : 1 + n * n], key[1 + n * n :], shared)
+            for key in keys
         )
 
     filtered = (

@@ -19,6 +19,7 @@ then as integer carrier indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from osgkit import kernel
 
@@ -66,21 +67,20 @@ class OrderedSemigroup:
     leq: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        n = self.order
+        n, mult, leq = self.order, self.mult, self.leq
         if n < 1:
             raise ValueError("order must be positive")
-        if len(self.mult) != n or any(len(row) != n for row in self.mult):
+        if len(mult) != n or {*map(len, mult)} != {n}:
             raise ValueError("mult must be an order x order table")
-        if any(not (0 <= v < n) for row in self.mult for v in row):
+        if not {*chain(*mult)}.issubset(range(n)):
             raise ValueError("mult entry out of carrier range")
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
+        if len(leq) != n or {*map(len, leq)} != {n}:
             raise ValueError("leq must be an order x order matrix")
 
     def flat(self) -> tuple[bytes, bytes]:
         """Row-major (mult, leq) byte tables, the kernel wire format."""
-        n = self.order
-        mult = bytes(self.mult[i][j] for i in range(n) for j in range(n))
-        leq = bytes(1 if self.leq[i][j] else 0 for i in range(n) for j in range(n))
+        mult = bytes(chain.from_iterable(self.mult))
+        leq = bytes(map(bool, chain.from_iterable(self.leq)))
         return mult, leq
 
 
@@ -98,10 +98,21 @@ def from_table(mult, pairs=()) -> OrderedSemigroup:
     return OrderedSemigroup(n, rows, tuple(tuple(row) for row in leq))
 
 
-def from_flat(n: int, mult: bytes, leq: bytes) -> OrderedSemigroup:
-    rows = tuple(tuple(mult[i * n + j] for j in range(n)) for i in range(n))
-    rel = tuple(tuple(bool(leq[i * n + j]) for j in range(n)) for i in range(n))
-    return OrderedSemigroup(n, rows, rel)
+def from_flat(n: int, mult: bytes, leq: bytes, shared: dict | None = None) -> OrderedSemigroup:
+    """Build a structure from row-major bytes.  Calls that pass one
+    ``shared`` dict, all at one order, get each distinct row and each
+    distinct order matrix as one tuple object."""
+    shared = {} if shared is None else shared
+    rows = []
+    for i in range(0, n * n, n):
+        row = mult[i : i + n]
+        rows.append(shared.get(row) or shared.setdefault(row, tuple(row)))
+    rel = shared.get(leq)
+    if rel is None:
+        rel = shared[leq] = tuple(
+            tuple(map(bool, leq[i : i + n])) for i in range(0, n * n, n)
+        )
+    return OrderedSemigroup(n, tuple(rows), rel)
 
 
 def default_names(n: int) -> tuple[str, ...]:
@@ -213,12 +224,13 @@ def format_structure(s: OrderedSemigroup, names: tuple[str, ...] | None = None) 
     n = s.order
     names = default_names(n) if names is None else tuple(names)
     lines = [f"order {n}", "elements " + " ".join(names)]
-    for i in range(n):
-        lines.append("mult " + " ".join(names[v] for v in s.mult[i]))
-    for i in range(n):
-        for j in range(n):
-            if i != j and s.leq[i][j]:
-                lines.append(f"leq {names[i]} {names[j]}")
+    lines += ["mult " + " ".join([names[v] for v in row]) for row in s.mult]
+    lines += [
+        f"leq {names[i]} {names[j]}"
+        for i, row in enumerate(s.leq)
+        for j, below in enumerate(row)
+        if below and i != j
+    ]
     return "\n".join(lines) + "\n"
 
 

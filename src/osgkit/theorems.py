@@ -14,7 +14,7 @@ visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
 
@@ -401,17 +401,21 @@ def _item_verdict(s: OrderedSemigroup, item: tuple[str, ...]) -> ConditionVerdic
     )
 
 
-def _consistency(kind: str, vector: tuple[ConditionVerdict, ...]) -> bool:
-    met = [v for v in vector if v.hypothesis_met]
+def _agrees(kind: str, holds: list[bool]) -> bool:
+    """Whether verdicts, all taken inside the hypothesis, fit the kind."""
     if kind == "equivalence":
-        return len({v.holds for v in met}) <= 1
+        return len(set(holds)) <= 1
     if kind == "implications":
-        if not vector[0].hypothesis_met or not vector[0].holds:
-            return True
-        return all(v.holds for v in met[1:])
+        return not holds[0] or all(holds[1:])
     if kind == "all_hold":
-        return all(v.holds for v in met)
+        return all(holds)
     raise ValueError(f"unknown theorem kind {kind!r}")
+
+
+def _consistency(kind: str, vector: tuple[ConditionVerdict, ...]) -> bool:
+    if kind == "implications" and not vector[0].hypothesis_met:
+        return True
+    return _agrees(kind, [v.holds for v in vector if v.hypothesis_met])
 
 
 def check_theorem(s: OrderedSemigroup, theorem_id: str, *,
@@ -511,8 +515,7 @@ class SweepReport:
 
 def _full_vector_disagrees(report: TheoremReport, kind: str) -> bool:
     # transparency check over every evaluated condition, hypothesis or not
-    forced = tuple(replace(v, hypothesis_met=True) for v in report.vector)
-    return not _consistency(kind, forced)
+    return not _agrees(kind, [v.holds for v in report.vector])
 
 
 def _silent(report: TheoremReport, kind: str) -> bool:

@@ -212,6 +212,26 @@ def test_enumerate_rejects_large_order():
     assert code == 2
 
 
+UNLOCK_HINT = " (pass --unlock-order-5 to go further)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--order", "2", "--filter", "bogus"],
+     "unknown filter 'bogus': not a property or catalog condition"),
+    (["enumerate", "--order", "5"], "order must be within 1..4" + UNLOCK_HINT),
+    (["enumerate", "--order", "6"], "order must be within 1..4"),
+    (["enumerate", "--order", "0"], "order must be within 1..4"),
+    (["enumerate", "--order", "6", "--unlock-order-5"], "order must be within 1..5"),
+    (["check-theorems", "--order", "5"], "order must be within 1..4" + UNLOCK_HINT),
+    (["check-theorems", "--order", "0", "--unlock-order-5"], "order must be within 1..5"),
+])
+def test_enumeration_usage_errors(capsys, argv, message):
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_enumerate_bad_shard():
     code, _ = run_cli("enumerate", "--order", "2", "--shard", "nope")
     assert code == 2

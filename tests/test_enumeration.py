@@ -26,12 +26,13 @@ from osgkit.structure import StructureParseError, canonical_form, validate
 
 
 def test_options_validate_order_range():
-    with pytest.raises(ValueError):
+    # the hint to raise order_limit only where raising it would help
+    with pytest.raises(ValueError, match=r"^order must be within 1\.\.4$"):
         EnumerationOptions(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(raise order_limit up to 5 to go further\)$"):
         EnumerationOptions(5)  # needs the explicit limit raise
     EnumerationOptions(5, order_limit=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^order must be within 1\.\.5$"):
         EnumerationOptions(6, order_limit=9)  # hard cap
 
 
@@ -150,6 +151,16 @@ def test_poset_classes_count_and_cover_every_labelled_poset():
         assert orbits == len(enumerate_partial_orders(n))
 
 
+@pytest.mark.parametrize("n,classes", [(1, 1), (2, 11), (3, 173), (4, 4753)])
+def test_orbit_minimal_tables_over_the_representatives_count_the_classes(backend, n, classes):
+    # one table per isomorphism class of ordered semigroups
+    found = sum(
+        len(kernel.enumerate_valid_tables(n, _leq_flat(rel, n), orbit_minimal=True))
+        for rel in poset_representatives(n)
+    )
+    assert found == classes
+
+
 def test_poset_rejects_large_order():
     with pytest.raises(ValueError):
         enumerate_partial_orders(6)
@@ -221,7 +232,11 @@ def test_up_to_iso_corpora_cover_the_labelled_structures_and_are_frozen(backend)
 @pytest.mark.parametrize("backend", ["c"], indirect=True)
 def test_order_5_up_to_iso_class_count(backend):
     opts = EnumerationOptions(5, mode="up_to_iso", order_limit=5)
-    assert sum(1 for _ in enumerate_ordered_semigroups(opts)) == 198838
+    sink = io.StringIO()
+    assert write_corpus(sink, enumerate_ordered_semigroups(opts), opts) == 198838
+    # the corpus that `enumerate --order 5 --up-to-iso --unlock-order-5 --out` writes
+    assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == \
+        "8c29b2b4c2b834b52c5921dcdd5618439e48e8cfd4f79dcd1d1e4ba7d88a1d79"
 
 
 def test_inverse_filter_includes_sl2_not_lz2():

@@ -10,12 +10,13 @@ import random
 import re
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from osgkit import _kernel_py, kernel
-from osgkit.enumeration import enumerate_partial_orders
+from osgkit.enumeration import enumerate_partial_orders, poset_representatives
 
 
 def _leq_flat(rel, n):
@@ -48,6 +49,50 @@ def test_valid_table_streams_identical_over_all_posets(compiled):
             leq = _leq_flat(rel, n)
             assert compiled.enumerate_valid_tables(n, leq) == \
                 _kernel_py.enumerate_valid_tables(n, leq)
+
+
+def _orbit_minimal_posets():
+    """Every poset of order <= 3 and the 16 order-4 representatives, which
+    include the discrete order."""
+    for n in (1, 2, 3):
+        for rel in enumerate_partial_orders(n):
+            yield n, _leq_flat(rel, n)
+    for rel in poset_representatives(4):
+        yield 4, _leq_flat(rel, 4)
+
+
+def test_orbit_minimal_streams_identical(compiled):
+    for n, leq in _orbit_minimal_posets():
+        assert compiled.enumerate_valid_tables(n, leq, orbit_minimal=True) == \
+            _kernel_py.enumerate_valid_tables(n, leq, orbit_minimal=True)
+
+
+def _least_in_orbit_by_brute_force(n, leq, tables):
+    """The tables that no automorphism of leq maps to a smaller table."""
+    cells = range(n * n)
+    auts = [
+        p for p in permutations(range(n))
+        if all(leq[p[k // n] * n + p[k % n]] == leq[k] for k in cells)
+    ]
+
+    def image(p, table):
+        out = bytearray(n * n)
+        for k in cells:
+            out[p[k // n] * n + p[k % n]] = p[table[k]]
+        return bytes(out)
+
+    return [t for t in tables if all(image(p, t) >= t for p in auts)]
+
+
+@pytest.mark.parametrize("impl", ["python", "c"])
+def test_orbit_minimal_tables_are_the_least_of_each_orbit(compiled, impl):
+    backend = _kernel_py if impl == "python" else compiled
+    for n, leq in _orbit_minimal_posets():
+        if n == 4 and impl == "python":
+            continue  # the compiled stream is identical there
+        found = backend.enumerate_valid_tables(n, leq, orbit_minimal=True)
+        every = backend.enumerate_valid_tables(n, leq)
+        assert found == _least_in_orbit_by_brute_force(n, leq, every)
 
 
 def test_canonical_key_parity_on_random_inputs(compiled):
@@ -91,6 +136,17 @@ def test_both_backends_raise_the_same_error(compiled, name, args, message):
         assert str(exc.value) == message, impl.BACKEND
 
 
+@pytest.mark.parametrize("args,message", [
+    ((6, b"\x01" * 36), "order must be within 1..5"),
+    ((2, b"\x01"), "leq must hold n*n bytes"),
+])
+def test_orbit_minimal_search_keeps_the_error_contract(compiled, args, message):
+    for impl in (_kernel_py, compiled):
+        with pytest.raises(ValueError) as exc:
+            impl.enumerate_valid_tables(*args, orbit_minimal=True)
+        assert str(exc.value) == message, impl.BACKEND
+
+
 def test_env_var_forces_pure_backend():
     code = (
         "import os; os.environ['OSGKIT_PURE'] = '1'; "
@@ -121,8 +177,8 @@ def test_bench_kernel_script_times_every_available_backend():
     header = next(i for i, line in enumerate(lines) if line.startswith("benchmark"))
     assert [w for w in lines[header].split()[1:] if w != "speedup"] == backends
     rows = lines[header + 1:]
-    # assoc tables, valid tables over all posets and over poset classes,
-    # canonical keys
+    # assoc tables, valid tables over all posets, orbit-minimal tables over
+    # poset classes, canonical keys
     assert len(rows) == 4
     for row in rows:
         assert len(re.findall(r"\d+\.\d+ms", row)) == len(backends)

@@ -107,6 +107,26 @@ def test_construction_rejects_bad_shapes():
         OrderedSemigroup(2, ((0, 3), (0, 0)), ((True, False), (False, True)))
 
 
+DISCRETE_2 = ((True, False), (False, True))
+
+
+@pytest.mark.parametrize("order,mult,leq,message", [
+    (0, (), (), "order must be positive"),
+    (2, ((0, 1),), DISCRETE_2, "mult must be an order x order table"),
+    (2, ((0, 1), (1,)), DISCRETE_2, "mult must be an order x order table"),
+    (2, ((0, 1), (1, 0, 1)), DISCRETE_2, "mult must be an order x order table"),
+    (2, ((0, -1), (1, 0)), DISCRETE_2, "mult entry out of carrier range"),
+    (2, ((0, 1), (2, 0)), DISCRETE_2, "mult entry out of carrier range"),
+    (2, ((0, 1), (1, 0)), ((True, False),), "leq must be an order x order matrix"),
+    (2, ((0, 1), (1, 0)), ((True, False), (True,)), "leq must be an order x order matrix"),
+], ids=["order-0", "missing-row", "short-row", "long-row", "entry-minus-1",
+        "entry-n", "missing-leq-row", "ragged-leq"])
+def test_construction_errors_name_the_check(order, mult, leq, message):
+    with pytest.raises(ValueError) as exc:
+        OrderedSemigroup(order, mult, leq)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # validation
 

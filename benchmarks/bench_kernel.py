@@ -3,10 +3,11 @@
 
 Times the two kernel functions at a chosen order on both backends and
 prints a comparison table.  The table search is timed three times: over the
-discrete order (the associative tables), over every labelled poset
-(labelled enumeration) and, keeping the least table of each orbit under
-the poset's automorphisms, over one poset per isomorphism class
-(enumeration up to isomorphism: one table per class).
+discrete order (the associative tables), over every labelled poset (the
+plain search, which the tests keep as the reference for the labelled
+stream) and, keeping the least table of each orbit under the poset's
+automorphisms, over one poset per isomorphism class (the search behind
+enumeration in both modes: one table per class).
 
 Usage:
     python benchmarks/bench_kernel.py [--order N] [--repeat K]

@@ -45,7 +45,7 @@ from osgkit.structure import (
     validate,
 )
 from osgkit.subsets import is_simple
-from osgkit.theorems import check_theorem, sweep, theorem_ids
+from osgkit.theorems import sweep, theorem_ids
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1

@@ -3,20 +3,22 @@ semigroups of a given order, labelled or up to isomorphism.
 
 The table search runs order-first: fix a partial order, then backtrack
 the multiplication table cell by cell with incremental associativity and
-compatibility pruning (the kernel's job).  Labelled mode searches every
-labelled poset.  Up to isomorphism, every ordered semigroup is isomorphic
-to one whose order is the first labelled poset of its isomorphism class,
-so the search runs over those class representatives only (16 posets
-instead of 219 at order 4, 63 instead of 4231 at order 5).  Over each
-representative it keeps only the least table of each orbit under the
-poset's automorphisms, which is one table per class; each is reduced once
-to its full canonical form, affordable for n <= 5.
+compatibility pruning (the kernel's job).  Every ordered semigroup is
+isomorphic to one whose order is the first labelled poset of its
+isomorphism class, so the search runs over those class representatives
+only (16 posets instead of 219 at order 4, 63 instead of 4231 at order 5).
+Over each representative it keeps only the least table of each orbit
+under the poset's automorphisms, which is one table per class; each is
+reduced once to its full canonical form, affordable for n <= 5.  Labelled
+mode lays out each class's distinct relabellings in turn, so both modes,
+and semigroups (the discrete order), run that one search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
 from osgkit import kernel
@@ -158,18 +160,50 @@ def poset_representatives(n: int) -> list[tuple[tuple[bool, ...], ...]]:
     return reps
 
 
+def _class_keys(n: int, posets) -> list[bytes]:
+    """The canonical key of each class of ordered semigroups over the given
+    pairwise non-isomorphic posets, sorted.
+
+    Two tables over one poset are isomorphic exactly when an automorphism
+    of the poset maps one to the other, so the least table of each orbit
+    stands for one class, and no two of them share a canonical key.
+    """
+    keys = []
+    for rel in posets:
+        leq = _leq_flat(rel, n)
+        for table in kernel.enumerate_valid_tables(n, leq, orbit_minimal=True):
+            keys.append(kernel.canonical_key(table, leq, n))
+    keys.sort()
+    return keys
+
+
+def _copies(keys: list[bytes], n: int) -> Iterator[tuple[bytes, bytes]]:
+    """The labelled structures of each class, class by class in key order:
+    the distinct relabellings of its canonical (mult, leq), sorted."""
+    size = n * n
+    relabellings = []
+    for p in permutations(range(n)):
+        # the copy under p holds p[T(a, b)] in cell (p[a], p[b])
+        inv = sorted(range(n), key=p.__getitem__)
+        cells = [inv[k // n] * n + inv[k % n] for k in range(size)]
+        rename = bytes.maketrans(bytes(range(n)), bytes(p))
+        relabellings.append((rename, itemgetter(*cells, *(size + c for c in cells))))
+    for key in keys:
+        mult, leq = key[1 : 1 + size], key[1 + size :]
+        copies = {bytes(move(mult.translate(rename) + leq)) for rename, move in relabellings}
+        for copy in sorted(copies):
+            yield copy[:size], copy[size:]
+
+
 def enumerate_semigroups(opts: EnumerationOptions) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All associative tables of the given order, labelled in lexicographic
     order or canonical representatives sorted by canonical form."""
     n = opts.order
+    # every relabelling fixes the discrete order
+    keys = _class_keys(n, [[[i == j for j in range(n)] for i in range(n)]])
     if opts.mode == "labelled":
-        stream = kernel.enumerate_assoc_tables(n)
+        stream = sorted(mult for mult, _ in _copies(keys, n))
     else:
-        # every relabelling fixes the discrete order, so the least table
-        # of each orbit is one table per isomorphism class
-        discrete = _leq_flat([[i == j for j in range(n)] for i in range(n)], n)
-        tables = kernel.enumerate_valid_tables(n, discrete, orbit_minimal=True)
-        keys = sorted([kernel.canonical_key(t, discrete, n) for t in tables])
         stream = [key[1 : 1 + n * n] for key in keys]
     for flat in shard_stream(stream, opts.shard):
         yield tuple(tuple(flat[i * n : i * n + n]) for i in range(n))
@@ -184,32 +218,13 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
     """
     n = opts.order
     predicates = _resolve_filters(opts.filters)
-    shared: dict = {}  # equal rows and orders become one tuple object
-
+    keys = _class_keys(n, poset_representatives(n))
     if opts.mode == "labelled":
-        entries = []
-        for rel in enumerate_partial_orders(n):
-            leq = _leq_flat(rel, n)
-            for table in kernel.enumerate_valid_tables(n, leq):
-                entries.append((kernel.canonical_key(table, leq, n), table, leq))
-        entries.sort()
-        stream = (from_flat(n, table, leq, shared) for _, table, leq in entries)
+        pairs = _copies(keys, n)
     else:
-        # Two tables over one representative are isomorphic exactly when an
-        # automorphism of its order maps one to the other, so the least
-        # table of each orbit stands for one class, and no two of them,
-        # over one or two representatives, share a canonical key.
-        keys = []
-        for rel in poset_representatives(n):
-            leq = _leq_flat(rel, n)
-            for table in kernel.enumerate_valid_tables(n, leq, orbit_minimal=True):
-                keys.append(kernel.canonical_key(table, leq, n))
-        keys.sort()
-        stream = (
-            from_flat(n, key[1 : 1 + n * n], key[1 + n * n :], shared)
-            for key in keys
-        )
-
+        pairs = ((key[1 : 1 + n * n], key[1 + n * n :]) for key in keys)
+    shared: dict = {}  # equal rows and orders become one tuple object
+    stream = (from_flat(n, mult, leq, shared) for mult, leq in pairs)
     filtered = (
         s for s in stream if all(predicate(s) for predicate in predicates)
     )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -259,6 +260,16 @@ def test_check_theorems_json():
     assert entry["theorem"] == "THM_3_5"
     assert entry["inconsistent"] == 0
     assert entry["hypothesis_met"] == 16
+
+
+@pytest.mark.parametrize("fmt,sha256", [
+    ("text", "bbf9ee49771febd7ce13f097c254444421400998e8d651b7174daf8a7f04294e"),
+    ("json", "afdd2e583dfc86ec1cb914e4ab17e9fc8d103ebb071ffc365d3bcc39f039e555"),
+])
+def test_check_theorems_order_3_labelled_is_frozen(backend, fmt, sha256):
+    code, text = run_cli("check-theorems", "--order", "3", "--labelled", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
 def test_check_theorems_corpus_round_trip(tmp_path):

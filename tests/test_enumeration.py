@@ -96,6 +96,14 @@ def test_order_5_semigroup_counts(backend):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_labelled_semigroups_are_the_plain_associative_search(backend, n):
+    # the copies of the classes over the discrete order, against the
+    # search that keeps every associative table
+    tables = [bytes(sum(t, ())) for t in enumerate_semigroups(EnumerationOptions(n))]
+    assert tables == kernel.enumerate_assoc_tables(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_assoc_table_counts_match_the_search(backend, n):
     # check-theorems reports candidates from these counts without a search
     assert len(kernel.enumerate_assoc_tables(n)) == ASSOC_TABLE_COUNTS[n]
@@ -188,6 +196,27 @@ def test_ordered_labelled_order_3_matches_pair_oracle():
     assert {s.flat() for s in enumerated} == {s.flat() for s in naive}
 
 
+def _plain_labelled_stream(n):
+    """The labelled stream from the plain search over every labelled poset,
+    each table keyed, sorted by (canonical key, mult, leq)."""
+    entries = []
+    for rel in enumerate_partial_orders(n):
+        leq = _leq_flat(rel, n)
+        for table in kernel.enumerate_valid_tables(n, leq):
+            entries.append((kernel.canonical_key(table, leq, n), table, leq))
+    entries.sort()
+    return [(table, leq) for _, table, leq in entries]
+
+
+@pytest.mark.parametrize("backend,n", [
+    ("python", 1), ("python", 2), ("python", 3),
+    ("c", 1), ("c", 2), ("c", 3), ("c", 4),
+], indirect=["backend"])
+def test_labelled_stream_is_the_orbit_view_of_the_classes(backend, n):
+    stream = [s.flat() for s in enumerate_ordered_semigroups(EnumerationOptions(n))]
+    assert stream == _plain_labelled_stream(n)
+
+
 def test_every_emitted_structure_is_valid(corpus_upto3_labelled):
     for s in corpus_upto3_labelled:
         assert validate(s).valid
@@ -226,6 +255,20 @@ def test_up_to_iso_corpora_cover_the_labelled_structures_and_are_frozen(backend)
             write_corpus(sink, classes, opts)
             digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
             assert digest == frozen_sha256[n]
+
+
+@pytest.mark.parametrize("n,sha256", [
+    (1, "83af26a8405ad98f2d165a105aeb8a15240fa3d462710ef9f8c164223728eed0"),
+    (2, "328cc788c2376f2c5d911ba38b9266390facdc38f90a066e7e2d426eb2e27aa7"),
+    (3, "469fcddc6c70fa875b221658e1d750d56ebe672a427d3e73696acad7bd9345c2"),
+    (4, "908b68f906360b654983b3968d367610d1698c3d53d3512b2160eb29cc9dd7e7"),
+])
+def test_labelled_corpora_are_frozen(backend, n, sha256):
+    # the corpus that `enumerate --order n` prints
+    opts = EnumerationOptions(n)
+    sink = io.StringIO()
+    write_corpus(sink, enumerate_ordered_semigroups(opts), opts)
+    assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == sha256
 
 
 @pytest.mark.slow

@@ -1,7 +1,8 @@
 import pytest
 
+from osgkit.enumeration import EnumerationOptions, enumerate_ordered_semigroups
 from osgkit.oracles import greens_by_literal_sets
-from osgkit.properties import regularity
+from osgkit.properties import regularity, resolve_predicate
 from osgkit.relations import (
     CongruenceVerdict,
     Partition,
@@ -13,7 +14,8 @@ from osgkit.relations import (
     least_complete_semilattice_congruence,
     semilattice_decomposition_check,
 )
-from osgkit.structure import relabel
+from osgkit.structure import relabel, substructure
+from osgkit.theorems import evaluate_condition
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +222,39 @@ def test_decomposition_t_simple_alias(sl2, lz2):
             semilattice_decomposition_check(s, "t_simple").ok
             == semilattice_decomposition_check(s, "group_like").ok
         )
+
+
+def test_group_like_decomposition_is_the_least_congruence():
+    """B.2 needs no partition search: a complete semilattice congruence
+    rho whose classes are all group-like is sigma, the least complete
+    semilattice congruence.
+
+    Proof.  sigma is contained in rho, because sigma is the least.
+    Conversely, let a and b share a rho-class C.  C is group-like, so
+    a <= cb and b <= ac' for some c, c' in C.  In a complete semilattice
+    congruence x <= y gives [x] = [xy], so [a] = [a][c][b], and as
+    [b][b] = [b], [a][b] = [a] in the semilattice S/sigma: [a] <= [b].
+    Likewise b <= ac' gives [b] <= [a], so [a] = [b] and rho is contained
+    in sigma.  Hence B.2 holds exactly when every class of sigma is
+    group-like, its witness is sigma, and the decomposition of the
+    paper's main theorem is unique when it exists.
+    """
+    group_like = resolve_predicate("group_like")
+
+    def all_group_like(s, p):
+        return all(group_like(substructure(s, c)) for c in p.classes)
+
+    classes = 0
+    for n in (1, 2, 3, 4):
+        for s in enumerate_ordered_semigroups(EnumerationOptions(n, mode="up_to_iso")):
+            classes += 1
+            sigma = least_complete_semilattice_congruence(s)
+            verdict = evaluate_condition(s, "B.2")
+            assert verdict.holds == all_group_like(s, sigma)
+            if verdict.holds:
+                assert verdict.witness == sigma.classes
+            assert all(
+                p == sigma for p in complete_semilattice_congruences(s)
+                if all_group_like(s, p)
+            )
+    assert classes == 1 + 11 + 173 + 4753

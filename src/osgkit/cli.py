@@ -18,10 +18,10 @@ from osgkit.enumeration import (
     ASSOC_TABLE_COUNTS,
     DEFAULT_MAX_ORDER,
     HARD_MAX_ORDER,
+    POSET_COUNTS,
     EnumerationOptions,
     check_shard,
     enumerate_ordered_semigroups,
-    enumerate_partial_orders,
     read_corpus,
     shard_stream,
     write_corpus,
@@ -416,7 +416,7 @@ def _cmd_check_theorems(args, out) -> int:
         opts = _options_from_args(args, mode)
         corpus = list(enumerate_ordered_semigroups(opts))
         n = opts.order
-        candidates = ASSOC_TABLE_COUNTS[n] * len(enumerate_partial_orders(n))
+        candidates = ASSOC_TABLE_COUNTS[n] * POSET_COUNTS[n]
 
     report = sweep(corpus, args.theorem or None)
     doc = {

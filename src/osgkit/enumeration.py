@@ -39,6 +39,10 @@ MODES = ("labelled", "up_to_iso")
 # every entry against the kernel's table search.
 ASSOC_TABLE_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 
+# Partial orders on n labelled points (OEIS A001035); the tests check every
+# entry against enumerate_partial_orders.
+POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+
 
 @dataclass(frozen=True)
 class EnumerationOptions:

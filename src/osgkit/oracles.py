@@ -2,15 +2,21 @@
 cross-check the main code paths and to make derived test values executable.
 
 Nothing here calls the optimised kernels or the validator; each oracle
-recomputes from the definitions with plain scans.
+recomputes from the definitions with plain scans.  The semilattice
+decomposition search tries every partition of the carrier, a Bell(n)
+count; the catalog decides B.2 from the least complete semilattice
+congruence alone, and the tests hold that shortcut against this search.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from typing import Callable, NamedTuple
 
 from osgkit.fixtures import load_named_fixture
-from osgkit.structure import OrderedSemigroup, from_table
+from osgkit.properties import resolve_predicate
+from osgkit.relations import Partition, is_congruence
+from osgkit.structure import OrderedSemigroup, from_table, substructure
 
 
 def assoc_failures(mult) -> list[tuple[int, int, int]]:
@@ -125,8 +131,6 @@ def ordered_structures_naive(n: int) -> list[OrderedSemigroup]:
 def greens_by_literal_sets(s: OrderedSemigroup):
     """Green's partitions from equality of the literal, non-closed
     generator sets {a} u Sa, {a} u aS, and {a} u Sa u aS u SaS."""
-    from osgkit.relations import Partition
-
     n = s.order
     left, right, two = [], [], []
     for a in range(n):
@@ -146,6 +150,55 @@ def greens_by_literal_sets(s: OrderedSemigroup):
         Partition.from_labels(right),
         Partition.from_labels(two),
     )
+
+
+def all_partitions(n: int):
+    """Every partition of 0..n-1, by restricted-growth strings."""
+    labels = [0] * n
+
+    def grow(i: int, top: int):
+        if i == n:
+            yield Partition.from_labels(labels)
+            return
+        for lab in range(top + 1):
+            labels[i] = lab
+            yield from grow(i + 1, top + (1 if lab == top else 0))
+
+    yield from grow(0, 0)
+
+
+def complete_semilattice_congruences(s: OrderedSemigroup) -> list[Partition]:
+    return [
+        p for p in all_partitions(s.order)
+        if is_congruence(s, p, "complete_semilattice").ok
+    ]
+
+
+class DecompositionVerdict(NamedTuple):
+    ok: bool
+    witness: Partition | None = None
+
+
+def semilattice_decomposition_check(
+    s: OrderedSemigroup,
+    class_property: str | Callable[[OrderedSemigroup], bool],
+) -> DecompositionVerdict:
+    """Is there a complete semilattice congruence whose classes, as
+    subsemigroups under the induced order, all satisfy the predicate?
+
+    The predicate may be a property id from :mod:`osgkit.properties` or a
+    callable; the winning partition is returned as witness.
+    """
+    if callable(class_property):
+        predicate = class_property
+    else:
+        predicate = resolve_predicate(class_property)
+    for p in all_partitions(s.order):
+        if not is_congruence(s, p, "complete_semilattice").ok:
+            continue
+        if all(predicate(substructure(s, group)) for group in p.classes):
+            return DecompositionVerdict(True, p)
+    return DecompositionVerdict(False)
 
 
 def px3_report() -> dict:

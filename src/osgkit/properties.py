@@ -174,7 +174,8 @@ def generator_uniqueness(s: OrderedSemigroup, side: str) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# predicate registry, used by enumeration filters and the decomposition check
+# predicate registry, used by enumeration filters and by the decomposition
+# search in osgkit.oracles
 
 def _bool(fn):
     return lambda s: fn(s).holds

@@ -1,12 +1,19 @@
-"""Green's relations and (complete) semilattice congruence machinery."""
+"""Partitions of the carrier, Green's relations, the congruence checker,
+and sigma, the least complete semilattice congruence.
+
+Nothing here searches over partitions: catalog condition B.2 is decided
+by sigma alone (see ``osgkit.theorems._group_like_decomposition``), and
+the exhaustive partition search it replaces is the reference in
+:mod:`osgkit.oracles`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from osgkit.structure import OrderedSemigroup, substructure
+from osgkit.structure import OrderedSemigroup
 from osgkit.subsets import principal_ideal
 
 CONGRUENCE_KINDS = ("left", "right", "two_sided", "semilattice", "complete_semilattice")
@@ -210,54 +217,3 @@ def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
                         changed = True
 
     return Partition.from_labels([uf.find(i) for i in range(n)])
-
-
-def all_partitions(n: int):
-    """Every partition of 0..n-1, by restricted-growth strings."""
-    labels = [0] * n
-
-    def grow(i: int, top: int):
-        if i == n:
-            yield Partition.from_labels(labels)
-            return
-        for lab in range(top + 1):
-            labels[i] = lab
-            yield from grow(i + 1, top + (1 if lab == top else 0))
-
-    yield from grow(0, 0)
-
-
-def complete_semilattice_congruences(s: OrderedSemigroup) -> list[Partition]:
-    return [
-        p for p in all_partitions(s.order)
-        if is_congruence(s, p, "complete_semilattice").ok
-    ]
-
-
-class DecompositionVerdict(NamedTuple):
-    ok: bool
-    witness: Partition | None = None
-
-
-def semilattice_decomposition_check(
-    s: OrderedSemigroup,
-    class_property: str | Callable[[OrderedSemigroup], bool],
-) -> DecompositionVerdict:
-    """Is there a complete semilattice congruence whose classes, as
-    subsemigroups under the induced order, all satisfy the predicate?
-
-    The predicate may be a property id from :mod:`osgkit.properties` or a
-    callable; the winning partition is returned as witness.
-    """
-    if callable(class_property):
-        predicate = class_property
-    else:
-        from osgkit.properties import resolve_predicate
-
-        predicate = resolve_predicate(class_property)
-    for p in all_partitions(s.order):
-        if not is_congruence(s, p, "complete_semilattice").ok:
-            continue
-        if all(predicate(substructure(s, group)) for group in p.classes):
-            return DecompositionVerdict(True, p)
-    return DecompositionVerdict(False)

@@ -23,16 +23,13 @@ from osgkit.properties import (
     h_commutes,
     inverses_of,
     inverses_pairwise_related,
+    is_group_like,
     is_inverse_ordered,
     ordered_idempotents,
     regularity,
 )
-from osgkit.relations import (
-    greens_relations,
-    least_complete_semilattice_congruence,
-    semilattice_decomposition_check,
-)
-from osgkit.structure import OrderedSemigroup, canonical_form, is_valid
+from osgkit.relations import greens_relations, least_complete_semilattice_congruence
+from osgkit.structure import OrderedSemigroup, canonical_form, is_valid, substructure
 from osgkit.subsets import Subset, downward_closure, subset_product
 
 REGULAR = "regular"
@@ -212,9 +209,24 @@ def _inverse_and_completely_regular(s) -> Verdict:
 
 
 def _group_like_decomposition(s) -> Verdict:
-    verdict = semilattice_decomposition_check(s, "group_like")
-    if verdict.ok:
-        return True, verdict.witness.classes
+    """S is a complete semilattice of group-like ordered semigroups exactly
+    when every class of sigma, the least complete semilattice congruence,
+    is group-like; the witness is sigma's classes.
+
+    Proof.  Let rho be a complete semilattice congruence whose classes are
+    all group-like.  sigma is contained in rho, because sigma is the least.
+    Conversely, let a and b share a rho-class C.  C is group-like, so
+    a <= cb and b <= ac' for some c, c' in C.  Write [x] for the sigma-class
+    of x; sigma is a complete semilattice congruence, so x <= y gives
+    [x] = [xy].  Then [a] = [a][c][b], and as [b][b] = [b], [a][b] = [a]
+    in the semilattice S/sigma: [a] <= [b].  Likewise b <= ac' gives
+    [b] <= [a], so [a] = [b] and rho is contained in sigma.  So rho = sigma:
+    sigma is the only partition that can serve, and the decomposition in
+    the paper's main theorem is unique when it exists.
+    """
+    sigma = least_complete_semilattice_congruence(s)
+    if all(is_group_like(substructure(s, c)).holds for c in sigma.classes):
+        return True, sigma.classes
     return False, None
 
 

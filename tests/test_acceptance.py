@@ -25,11 +25,8 @@ from osgkit.properties import (
     ordered_idempotents,
     regularity,
 )
-from osgkit.relations import (
-    complete_semilattice_congruences,
-    greens_relations,
-    least_complete_semilattice_congruence,
-)
+from osgkit.oracles import complete_semilattice_congruences
+from osgkit.relations import greens_relations, least_complete_semilattice_congruence
 from osgkit.structure import format_structure, opposite, relabel, validate
 from osgkit.subsets import Subset, downward_closure, is_simple
 from osgkit.theorems import SweepReport, sweep, theorem_ids

@@ -272,6 +272,15 @@ def test_check_theorems_order_3_labelled_is_frozen(backend, fmt, sha256):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["c"], indirect=True)
+def test_check_theorems_order_4_is_frozen(backend):
+    code, text = run_cli("check-theorems", "--order", "4", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "55596e0abb92a3fb77f537e0b49f2fd791487011978b709541cf390edc86d6de"
+
+
 def test_check_theorems_corpus_round_trip(tmp_path):
     corpus_file = tmp_path / "c.osg"
     run_cli("enumerate", "--order", "2", "--up-to-iso", "--out", str(corpus_file))

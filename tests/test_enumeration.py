@@ -8,6 +8,7 @@ import pytest
 from osgkit import kernel, oracles
 from osgkit.enumeration import (
     ASSOC_TABLE_COUNTS,
+    POSET_COUNTS,
     EnumerationOptions,
     _leq_flat,
     enumerate_ordered_semigroups,
@@ -125,6 +126,8 @@ def test_poset_counts():
     assert len(enumerate_partial_orders(3)) == 19
     assert len(enumerate_partial_orders(4)) == 219
     assert len(enumerate_partial_orders(5)) == 4231
+    # check-theorems reports candidates from this table without a walk
+    assert POSET_COUNTS == {n: len(enumerate_partial_orders(n)) for n in range(1, 6)}
 
 
 def test_poset_enumeration_matches_naive_filter():

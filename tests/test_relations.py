@@ -1,18 +1,20 @@
 import pytest
 
 from osgkit.enumeration import EnumerationOptions, enumerate_ordered_semigroups
-from osgkit.oracles import greens_by_literal_sets
+from osgkit.oracles import (
+    all_partitions,
+    complete_semilattice_congruences,
+    greens_by_literal_sets,
+    semilattice_decomposition_check,
+)
 from osgkit.properties import regularity, resolve_predicate
 from osgkit.relations import (
     CongruenceVerdict,
     Partition,
-    all_partitions,
     check_partition,
-    complete_semilattice_congruences,
     greens_relations,
     is_congruence,
     least_complete_semilattice_congruence,
-    semilattice_decomposition_check,
 )
 from osgkit.structure import relabel, substructure
 from osgkit.theorems import evaluate_condition
@@ -224,20 +226,18 @@ def test_decomposition_t_simple_alias(sl2, lz2):
         )
 
 
-def test_group_like_decomposition_is_the_least_congruence():
+@pytest.mark.parametrize("backend,orders,expected", [
+    pytest.param("c", (1, 2, 3, 4), 1 + 11 + 173 + 4753, id="orders-1-4"),
+    pytest.param("c", (5,), 198838, id="order-5", marks=pytest.mark.slow),
+], indirect=["backend"])
+def test_group_like_decomposition_is_the_least_congruence(backend, orders, expected):
     """B.2 needs no partition search: a complete semilattice congruence
     rho whose classes are all group-like is sigma, the least complete
-    semilattice congruence.
-
-    Proof.  sigma is contained in rho, because sigma is the least.
-    Conversely, let a and b share a rho-class C.  C is group-like, so
-    a <= cb and b <= ac' for some c, c' in C.  In a complete semilattice
-    congruence x <= y gives [x] = [xy], so [a] = [a][c][b], and as
-    [b][b] = [b], [a][b] = [a] in the semilattice S/sigma: [a] <= [b].
-    Likewise b <= ac' gives [b] <= [a], so [a] = [b] and rho is contained
-    in sigma.  Hence B.2 holds exactly when every class of sigma is
-    group-like, its witness is sigma, and the decomposition of the
-    paper's main theorem is unique when it exists.
+    semilattice congruence (the proof is the docstring of
+    ``osgkit.theorems._group_like_decomposition``).  Checked against every
+    partition of every class: B.2 holds exactly when every class of sigma
+    is group-like, its witness is sigma, and no other complete semilattice
+    congruence has all classes group-like.
     """
     group_like = resolve_predicate("group_like")
 
@@ -245,8 +245,9 @@ def test_group_like_decomposition_is_the_least_congruence():
         return all(group_like(substructure(s, c)) for c in p.classes)
 
     classes = 0
-    for n in (1, 2, 3, 4):
-        for s in enumerate_ordered_semigroups(EnumerationOptions(n, mode="up_to_iso")):
+    for n in orders:
+        opts = EnumerationOptions(n, mode="up_to_iso", order_limit=5)
+        for s in enumerate_ordered_semigroups(opts):
             classes += 1
             sigma = least_complete_semilattice_congruence(s)
             verdict = evaluate_condition(s, "B.2")
@@ -257,4 +258,4 @@ def test_group_like_decomposition_is_the_least_congruence():
                 p == sigma for p in complete_semilattice_congruences(s)
                 if all_group_like(s, p)
             )
-    assert classes == 1 + 11 + 173 + 4753
+    assert classes == expected

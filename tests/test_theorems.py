@@ -19,7 +19,7 @@ from osgkit.properties import (
     regularity,
 )
 from osgkit.relations import greens_relations
-from osgkit import kernel
+from osgkit import kernel, oracles, relations
 from osgkit.enumeration import (
     EnumerationOptions,
     enumerate_ordered_semigroups,
@@ -193,6 +193,22 @@ def test_sweep_canonicalises_each_structure_once(monkeypatch, n2, sl2, lz2):
         for record in entry.outside_disagreements + entry.inconsistencies:
             assert record.report.structure == record.canonical
             assert record.canonical == canonical_form(record.structure).hex()
+
+
+def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
+    # B.2 reads sigma: no catalog condition scans a candidate congruence
+    # or lists the Bell(n) partitions of the carrier
+    corpus = [s for s in corpus_upto3_iso if s.order == 3]
+    assert len(corpus) == 173
+
+    def forbidden(*args):
+        raise AssertionError("the catalog searched partitions")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(relations, "is_congruence", forbidden)
+        patched.setattr(oracles, "all_partitions", forbidden)
+        report = sweep(corpus)
+    assert report == sweep(corpus)
 
 
 def test_sweep_fixture_pair(sl2, lz2):

@@ -26,15 +26,7 @@ from osgkit.enumeration import (
     shard_stream,
     write_corpus,
 )
-from osgkit.properties import (
-    generator_uniqueness,
-    inverses_of,
-    is_group_like,
-    is_inverse_ordered,
-    ordered_idempotents,
-    regularity,
-)
-from osgkit.relations import greens_relations, least_complete_semilattice_congruence
+from osgkit.properties import facts
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
@@ -161,14 +153,14 @@ def _cmd_analyze(args, out) -> int:
     if not vreport.valid:
         return _emit_validation("analyze", args, s, names, vreport, out)
 
-    greens = greens_relations(s)
-    least = least_complete_semilattice_congruence(s)
+    f = facts(s)
+    greens, least = f.greens, f.sigma
     canon = canonical_form(s).hex()
     findings = [
         {
             "kind": "idempotents",
             "structure": canon,
-            "subset": [names[e] for e in ordered_idempotents(s)],
+            "subset": [names[e] for e in f.idem],
         },
         {
             "kind": "greens",
@@ -185,13 +177,13 @@ def _cmd_analyze(args, out) -> int:
         },
     ]
     for kind in ("regular", "completely_regular", "right_regular", "left_regular"):
-        findings.append(_property_finding("regularity", regularity(s, kind), names))
+        findings.append(_property_finding("regularity", f.regularity(kind), names))
     for kind in ("two_sided", "left", "right"):
-        findings.append(_property_finding("group_like", is_group_like(s, kind), names))
-    findings.append(_property_finding("inverse", is_inverse_ordered(s), names))
+        findings.append(_property_finding("group_like", f.group_like(kind), names))
+    findings.append(_property_finding("inverse", f.inverse(), names))
     for side in ("left", "right"):
         findings.append(
-            _property_finding("generator_uniqueness", generator_uniqueness(s, side), names)
+            _property_finding("generator_uniqueness", f.generator_uniqueness(side), names)
         )
     for side in ("left", "right", "two_sided"):
         verdict = is_simple(s, side)
@@ -252,7 +244,7 @@ def _cmd_inverses(args, out) -> int:
             raise CliError(f"unknown element {args.element!r}") from None
         if not 0 <= a < s.order:
             raise CliError(f"element index {a} out of range for order {s.order}")
-    inv = inverses_of(s, a)
+    inv = facts(s).inv[a]
     doc = {
         "command": "inverses",
         "options": {"file": args.file, "element": names[a]},

@@ -25,6 +25,7 @@ from osgkit import kernel
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
+    default_names,
     format_structure,
     from_flat,
     parse_structure,
@@ -255,10 +256,13 @@ def write_corpus(out: TextIO, structures: Iterable[OrderedSemigroup],
             f"filters={','.join(options.filters) or 'none'} shard={shard}\n"
         )
     out.write(f"{COUNT_HEADER} {len(structures)}\n")
+    names: dict[int, tuple[str, ...]] = {}  # the default names of each order
     for i, s in enumerate(structures):
         if i:
             out.write(RECORD_SEPARATOR + "\n")
-        out.write(format_structure(s))
+        if s.order not in names:
+            names[s.order] = default_names(s.order)
+        out.write(format_structure(s, names[s.order]))
     return len(structures)
 
 

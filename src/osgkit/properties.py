@@ -2,18 +2,27 @@
 regularity variants, group-likeness, H-commutativity, inverse deciders,
 and H-unique idempotent generation.
 
-Every decider returns a :class:`PropertyReport` whose witness is the
-lexicographically least violating tuple, so reports are reproducible.
+Each structure's facts are computed once, as int bit masks, into an
+immutable :class:`Facts` record built by :func:`facts`; the deciders
+below are adapters over it, and the catalog conditions of
+:mod:`osgkit.theorems` read it directly.  Every decider returns a
+:class:`PropertyReport` whose witness is the lexicographically least
+violating tuple, so reports are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from osgkit.relations import greens_relations
+from osgkit.relations import (
+    GreensRelations,
+    Partition,
+    greens_relations,
+    least_complete_semilattice_congruence,
+)
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import Subset, downward_closure, subset_product
+from osgkit.subsets import Subset, bit_mask, table_masks
 
 REGULARITY_KINDS = ("regular", "completely_regular", "right_regular", "left_regular")
 GROUP_LIKE_KINDS = ("two_sided", "left", "right")
@@ -29,42 +38,140 @@ class PropertyReport:
     applicable: bool = True
 
 
+@dataclass(frozen=True)
+class Facts:
+    """One structure's tables, subsets of the carrier as int bit masks.
+
+    up[v] and down[v] hold the elements above and below v; row[p] and
+    col[q] the sets pS and Sq; pxq[p][q] the set {(p*x)*q : x}.  inv[a]
+    lists the inverses of a ascending, inv_mask[a] as a mask; idem and
+    idem_mask are the ordered idempotents.  not_regular and
+    not_completely_regular are the least element outside (aSa], resp.
+    (a2Sa2], or None.  Green's relations and sigma are computed on first
+    read: the records that B.2 builds for sigma's classes need neither.
+    """
+
+    s: OrderedSemigroup
+    n: int
+    mult: tuple[tuple[int, ...], ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    row: tuple[int, ...]
+    col: tuple[int, ...]
+    pxq: tuple[tuple[int, ...], ...]
+    inv: tuple[tuple[int, ...], ...]
+    inv_mask: tuple[int, ...]
+    idem: tuple[int, ...]
+    idem_mask: int
+    not_regular: int | None
+    not_completely_regular: int | None
+
+    @cached_property
+    def greens(self) -> GreensRelations:
+        return greens_relations(self.s)
+
+    @cached_property
+    def sigma(self) -> Partition:
+        return least_complete_semilattice_congruence(self.s)
+
+    def regularity(self, kind: str) -> PropertyReport:
+        if kind == "regular":
+            a = self.not_regular
+        elif kind == "completely_regular":
+            a = self.not_completely_regular
+        else:
+            sq = [r[a] for a, r in enumerate(self.mult)]
+            core = self.row if kind == "right_regular" else self.col
+            a = next((a for a in range(self.n) if not core[sq[a]] & self.up[a]), None)
+        return PropertyReport(kind, a is None, None if a is None else (a,))
+
+    def group_like(self, kind: str) -> PropertyReport:
+        prop = f"group_like_{kind}"
+        if self.not_regular is not None:
+            return PropertyReport(
+                prop, False, (self.not_regular,),
+                notes="not applicable: structure is not regular", applicable=False,
+            )
+        up, row, col = self.up, self.row, self.col
+        left, right = kind in ("two_sided", "left"), kind in ("two_sided", "right")
+        for a in range(self.n):
+            for b in range(self.n):
+                if left and not col[b] & up[a]:
+                    return PropertyReport(prop, False, (a, b))
+                if right and not row[a] & up[b]:
+                    return PropertyReport(prop, False, (a, b))
+        return PropertyReport(prop, True)
+
+    def h_commutes(self, a: int, b: int) -> bool:
+        mult, up, pxq = self.mult, self.up, self.pxq
+        return bool(pxq[b][a] & up[mult[a][b]]) and bool(pxq[a][b] & up[mult[b][a]])
+
+    def inverse(self) -> PropertyReport:
+        if self.not_regular is not None:
+            return PropertyReport("inverse", False, (self.not_regular,), notes="not regular")
+        holds, witness = self.inverses_pairwise_related(range(self.n), self.greens.H.related)
+        return PropertyReport("inverse", holds, witness)
+
+    def inverses_pairwise_related(self, elements, related):
+        """(holds, witness): related(b, c) for any two inverses b, c of
+        each a in elements; a failing witness is the first such (a, b, c)."""
+        for a in elements:
+            inv = self.inv[a]
+            for b in inv:
+                for c in inv:
+                    if not related(b, c):
+                        return False, (a, b, c)
+        return True, None
+
+    def generator_uniqueness(self, side: str) -> PropertyReport:
+        prop = f"generator_uniqueness_{side}"
+        # principal ideals of the side are equal exactly when their
+        # generators are L- (left) or R- (right) related
+        greens = self.greens
+        same_ideal = greens.L if side == "left" else greens.R
+        idem = self.idem
+        idem_classes = {same_ideal.class_of[e] for e in idem}
+        for a in range(self.n):
+            if same_ideal.class_of[a] not in idem_classes:
+                return PropertyReport(prop, False, (a,), notes="no idempotent generator")
+        for e in idem:
+            for f in idem:
+                if same_ideal.related(e, f) and not greens.H.related(e, f):
+                    return PropertyReport(prop, False, (e, f), notes="generators not H-related")
+        return PropertyReport(prop, True)
+
+
+def facts(s: OrderedSemigroup) -> Facts:
+    """Build the fact record of s.  Products keep the bracketing of their
+    definitions, so the record holds for any table, associative or not."""
+    span, mult, leq = range(s.order), s.mult, s.leq
+    up, down, row, col = table_masks(s)
+    pxq = tuple(
+        tuple([bit_mask([mult[z][q] for z in ps]) for q in span]) for ps in map(set, mult)
+    )
+    inv = tuple(
+        tuple([b for b in span if leq[a][mult[mult[a][b]][a]] and leq[b][mult[mult[b][a]][b]]])
+        for a in span
+    )
+    idem = tuple([e for e in span if leq[e][mult[e][e]]])
+    sq = [r[a] for a, r in enumerate(mult)]
+    return Facts(
+        s, s.order, mult, up, down, row, col, pxq, inv, tuple(map(bit_mask, inv)),
+        idem, bit_mask(idem),
+        next((a for a in span if not pxq[a][a] & up[a]), None),
+        next((a for a in span if not pxq[sq[a]][sq[a]] & up[a]), None),
+    )
+
+
 def ordered_idempotents(s: OrderedSemigroup) -> Subset:
     """Elements e with e <= e*e."""
-    bits = 0
-    for e in range(s.order):
-        if s.leq[e][s.mult[e][e]]:
-            bits |= 1 << e
-    return Subset(bits, s.order)
+    return Subset(facts(s).idem_mask, s.order)
 
 
 @lru_cache(maxsize=65536)
 def inverses_of(s: OrderedSemigroup, a: int) -> Subset:
     """All b with a <= a*b*a and b <= b*a*b."""
-    bits = 0
-    mult, leq = s.mult, s.leq
-    for b in range(s.order):
-        aba = mult[mult[a][b]][a]
-        bab = mult[mult[b][a]][b]
-        if leq[a][aba] and leq[b][bab]:
-            bits |= 1 << b
-    return Subset(bits, s.order)
-
-
-def _closure_membership(s: OrderedSemigroup, a: int, kind: str) -> bool:
-    n = s.order
-    full = Subset.full(n)
-    single = Subset.of([a], n)
-    sq = Subset.of([s.mult[a][a]], n)
-    if kind == "regular":
-        core = subset_product(s, subset_product(s, single, full), single)
-    elif kind == "completely_regular":
-        core = subset_product(s, subset_product(s, sq, full), sq)
-    elif kind == "right_regular":
-        core = subset_product(s, sq, full)
-    else:  # left_regular
-        core = subset_product(s, full, sq)
-    return a in downward_closure(s, core)
+    return Subset(facts(s).inv_mask[a], s.order)
 
 
 @lru_cache(maxsize=65536)
@@ -74,10 +181,7 @@ def regularity(s: OrderedSemigroup, kind: str = "regular") -> PropertyReport:
     one-sided variants.  Witness is the least failing element."""
     if kind not in REGULARITY_KINDS:
         raise ValueError(f"kind must be one of {REGULARITY_KINDS}, got {kind!r}")
-    for a in range(s.order):
-        if not _closure_membership(s, a, kind):
-            return PropertyReport(kind, False, (a,))
-    return PropertyReport(kind, True)
+    return facts(s).regularity(kind)
 
 
 def is_group_like(s: OrderedSemigroup, kind: str = "two_sided") -> PropertyReport:
@@ -89,34 +193,12 @@ def is_group_like(s: OrderedSemigroup, kind: str = "two_sided") -> PropertyRepor
     """
     if kind not in GROUP_LIKE_KINDS:
         raise ValueError(f"kind must be one of {GROUP_LIKE_KINDS}, got {kind!r}")
-    prop = f"group_like_{kind}"
-    reg = regularity(s, "regular")
-    if not reg.holds:
-        return PropertyReport(
-            prop, False, reg.witness,
-            notes="not applicable: structure is not regular", applicable=False,
-        )
-    n = s.order
-    full = Subset.full(n)
-    below_sb = [downward_closure(s, subset_product(s, full, Subset.of([b], n))) for b in range(n)]
-    below_as = [downward_closure(s, subset_product(s, Subset.of([a], n), full)) for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if kind in ("two_sided", "left") and a not in below_sb[b]:
-                return PropertyReport(prop, False, (a, b))
-            if kind in ("two_sided", "right") and b not in below_as[a]:
-                return PropertyReport(prop, False, (a, b))
-    return PropertyReport(prop, True)
+    return facts(s).group_like(kind)
 
 
 def h_commutes(s: OrderedSemigroup, a: int, b: int) -> bool:
     """a*b <= b*x*a for some x, and symmetrically b*a <= a*y*b for some y."""
-    mult, leq = s.mult, s.leq
-    ab, ba = mult[a][b], mult[b][a]
-    forward = any(leq[ab][mult[mult[b][x]][a]] for x in range(s.order))
-    if not forward:
-        return False
-    return any(leq[ba][mult[mult[a][y]][b]] for y in range(s.order))
+    return facts(s).h_commutes(a, b)
 
 
 @lru_cache(maxsize=65536)
@@ -127,27 +209,7 @@ def is_inverse_ordered(s: OrderedSemigroup) -> PropertyReport:
     element; otherwise a failing witness is the least (a, b, c) with b
     and c both inverse to a but not H-related.
     """
-    reg = regularity(s, "regular")
-    if not reg.holds:
-        return PropertyReport(
-            "inverse", False, reg.witness, notes="not regular",
-        )
-    holds, witness = inverses_pairwise_related(
-        s, range(s.order), greens_relations(s).H.related
-    )
-    return PropertyReport("inverse", holds, witness)
-
-
-def inverses_pairwise_related(s: OrderedSemigroup, elements, related):
-    """(holds, witness): related(b, c) for any two inverses b, c of each a
-    in elements; a failing witness is the first such (a, b, c)."""
-    for a in elements:
-        inv = inverses_of(s, a).members()
-        for b in inv:
-            for c in inv:
-                if not related(b, c):
-                    return False, (a, b, c)
-    return True, None
+    return facts(s).inverse()
 
 
 def generator_uniqueness(s: OrderedSemigroup, side: str) -> PropertyReport:
@@ -156,21 +218,7 @@ def generator_uniqueness(s: OrderedSemigroup, side: str) -> PropertyReport:
     H-class."""
     if side not in GENERATOR_SIDES:
         raise ValueError(f"side must be one of {GENERATOR_SIDES}, got {side!r}")
-    prop = f"generator_uniqueness_{side}"
-    # principal ideals of the side are equal exactly when their
-    # generators are L- (left) or R- (right) related
-    greens = greens_relations(s)
-    same_ideal = greens.L if side == "left" else greens.R
-    idem = ordered_idempotents(s).members()
-    idem_classes = {same_ideal.class_of[e] for e in idem}
-    for a in range(s.order):
-        if same_ideal.class_of[a] not in idem_classes:
-            return PropertyReport(prop, False, (a,), notes="no idempotent generator")
-    for e in idem:
-        for f in idem:
-            if same_ideal.related(e, f) and not greens.H.related(e, f):
-                return PropertyReport(prop, False, (e, f), notes="generators not H-related")
-    return PropertyReport(prop, True)
+    return facts(s).generator_uniqueness(side)
 
 
 # ---------------------------------------------------------------------------

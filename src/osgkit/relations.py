@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import principal_ideal
+from osgkit.subsets import ideal_masks
 
 CONGRUENCE_KINDS = ("left", "right", "two_sided", "semilattice", "complete_semilattice")
 
@@ -104,10 +104,7 @@ class GreensRelations(NamedTuple):
 @lru_cache(maxsize=65536)
 def greens_relations(s: OrderedSemigroup) -> GreensRelations:
     """L, R, J from equality of principal ideals; H refines L and R."""
-    n = s.order
-    left = [principal_ideal(s, a, "left").bits for a in range(n)]
-    right = [principal_ideal(s, a, "right").bits for a in range(n)]
-    two = [principal_ideal(s, a, "two_sided").bits for a in range(n)]
+    left, right, two = ideal_masks(s)
     l_part = Partition.from_labels(left)
     r_part = Partition.from_labels(right)
     j_part = Partition.from_labels(two)

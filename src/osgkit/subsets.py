@@ -1,7 +1,10 @@
 """Subset algebra: downward closures, subset products, principal ideals,
 and the ideal/simplicity predicates.
 
-Subsets of the carrier are bit masks; all functions are pure.
+Subsets of the carrier are bit masks, as plain ints in the tables that
+Green's relations and the fact record of :mod:`osgkit.properties` are
+built from, and wrapped as :class:`Subset` values in the public
+functions; all functions are pure.
 """
 
 from __future__ import annotations
@@ -79,14 +82,52 @@ def _check_side(side: str):
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def bit_mask(elements) -> int:
+    bits = 0
+    for v in elements:
+        bits |= 1 << v
+    return bits
+
+
+def union_of(masks, bits: int) -> int:
+    """The union of masks[v] over the members v of bits."""
+    out = 0
+    for v, mask in enumerate(masks):
+        if bits >> v & 1:
+            out |= mask
+    return out
+
+
+def table_masks(s: OrderedSemigroup):
+    """(up, down, row, col): up[v] holds the elements above v, down[v]
+    those below, row[p] the set pS = {p*x} and col[q] the set Sq = {x*q}."""
+    n, mult, leq = s.order, s.mult, s.leq
+    up, down, row, col = [0] * n, [0] * n, [0] * n, [0] * n
+    for a in range(n):
+        for b in range(n):
+            if leq[a][b]:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+            row[a] |= 1 << mult[a][b]
+            col[b] |= 1 << mult[a][b]
+    return tuple(up), tuple(down), tuple(row), tuple(col)
+
+
+def ideal_masks(s: OrderedSemigroup):
+    """(left, right, two_sided): the principal ideals of each element, the
+    downward closures of a + Sa, a + aS and a + Sa + aS + S(aS)."""
+    _, down, row, col = table_masks(s)
+    span = range(s.order)
+    return (
+        [union_of(down, 1 << a | col[a]) for a in span],
+        [union_of(down, 1 << a | row[a]) for a in span],
+        [union_of(down, 1 << a | col[a] | row[a] | union_of(col, row[a])) for a in span],
+    )
+
+
 def downward_closure(s: OrderedSemigroup, x: Subset) -> Subset:
     """Everything below some member of x: {t : t <= h for some h in x}."""
-    bits = 0
-    hs = x.members()
-    for t in range(s.order):
-        if any(s.leq[t][h] for h in hs):
-            bits |= 1 << t
-    return Subset(bits, s.order)
+    return Subset(union_of(table_masks(s)[1], x.bits), s.order)
 
 
 def subset_product(s: OrderedSemigroup, x: Subset, y: Subset) -> Subset:
@@ -103,19 +144,7 @@ def principal_ideal(s: OrderedSemigroup, a: int, side: str) -> Subset:
     """Downward-closed principal ideal of a; the identity adjunction is
     realised by uniting {a} with the translate sets before closing."""
     _check_side(side)
-    n = s.order
-    full = Subset.full(n)
-    single = Subset.of([a], n)
-    if side == "left":
-        core = single | subset_product(s, full, single)
-    elif side == "right":
-        core = single | subset_product(s, single, full)
-    else:
-        sa = subset_product(s, full, single)
-        a_s = subset_product(s, single, full)
-        sas = subset_product(s, full, a_s)
-        core = single | sa | a_s | sas
-    return downward_closure(s, core)
+    return Subset(ideal_masks(s)[SIDES.index(side)][a], s.order)
 
 
 class IdealVerdict(NamedTuple):

@@ -1,8 +1,10 @@
 """Condition catalog and equivalence sweeps.
 
-Each catalog condition is a decidable statement about one structure,
-evaluated by bounded quantifier scans; witnesses are lexicographically
-least over the scan order.  Theorem groupings bundle conditions that are
+Each catalog condition is a decidable statement about one valid
+structure, evaluated by bounded quantifier scans over its fact record
+(:func:`osgkit.properties.facts`), where each inner existential scan is
+one bit-mask test; witnesses are lexicographically least over the scan
+order.  Theorem groupings bundle conditions that are
 expected to agree (equivalences), to follow from the first condition
 (implications), or to hold outright, under an ambient hypothesis.
 
@@ -18,19 +20,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
 
-from osgkit.properties import (
-    generator_uniqueness,
-    h_commutes,
-    inverses_of,
-    inverses_pairwise_related,
-    is_group_like,
-    is_inverse_ordered,
-    ordered_idempotents,
-    regularity,
-)
-from osgkit.relations import greens_relations, least_complete_semilattice_congruence
+from osgkit.properties import Facts, facts, is_group_like
 from osgkit.structure import OrderedSemigroup, canonical_form, is_valid, substructure
-from osgkit.subsets import Subset, downward_closure, subset_product
+from osgkit.subsets import union_of
 
 REGULAR = "regular"
 
@@ -59,7 +51,7 @@ class Condition:
     id: str
     description: str
     ambient: str | None
-    fn: Callable[[OrderedSemigroup], Verdict]
+    fn: Callable[[Facts], Verdict]
 
 
 @dataclass(frozen=True)
@@ -72,143 +64,122 @@ class Theorem:
 
 
 # ---------------------------------------------------------------------------
-# helper scans
-
-
-def _mul(s, *xs):
-    out = xs[0]
-    for x in xs[1:]:
-        out = s.mult[out][x]
-    return out
-
-
-def _sandwich(s, e, f) -> Subset:
-    """(e S f], the downward closure of {e*s*f}."""
-    n = s.order
-    mid = subset_product(s, Subset.of([e], n), Subset.full(n))
-    return downward_closure(s, subset_product(s, mid, Subset.of([f], n)))
+# condition scans, each over one structure's fact record
 
 
 def _report_verdict(report) -> Verdict:
     return report.holds, report.witness
 
 
-def _idempotents_h_commute_with(s, idem, others) -> Verdict:
-    """Each ordered idempotent e in idem is H-commutative with each a in
-    others."""
-    for e in idem:
+def _idempotents_h_commute_with(f: Facts, others) -> Verdict:
+    """Each ordered idempotent e is H-commutative with each a in others."""
+    for e in f.idem:
         for a in others:
-            if not h_commutes(s, e, a):
+            if not f.h_commutes(e, a):
                 return False, (e, a)
     return True, None
 
 
-def _regular_and_idempotents_commute(s) -> Verdict:
-    reg = regularity(s, "regular")
-    if not reg.holds:
-        return False, reg.witness
-    idem = ordered_idempotents(s)
-    return _idempotents_h_commute_with(s, idem, idem)
+def _regular_and_idempotents_commute(f: Facts) -> Verdict:
+    if f.not_regular is not None:
+        return False, (f.not_regular,)
+    return _idempotents_h_commute_with(f, f.idem)
 
 
-def _green_related_idempotents_h_related(s, relations) -> Verdict:
+def _green_related_idempotents_h_related(f: Facts, relations) -> Verdict:
     """Ordered idempotents related by any of the named Green relations
     are H-related."""
-    greens = greens_relations(s)
-    idem = ordered_idempotents(s).members()
-    for e in idem:
-        for f in idem:
-            if not greens.H.related(e, f) and any(
-                getattr(greens, rel).related(e, f) for rel in relations
+    greens = f.greens
+    for e in f.idem:
+        for g in f.idem:
+            if not greens.H.related(e, g) and any(
+                getattr(greens, rel).related(e, g) for rel in relations
             ):
-                return False, (e, f)
+                return False, (e, g)
     return True, None
 
 
-def _one_sided_iff_inverse_products(s, side) -> Verdict:
+def _one_sided_iff_inverse_products(f: Facts, side) -> Verdict:
     """left: a L b exactly when a'a H b'b; right: a R b exactly when
     aa' H bb'; for all inverse choices a', b'."""
-    greens = greens_relations(s)
+    greens, mult, inv = f.greens, f.mult, f.inv
     one_sided = greens.L if side == "left" else greens.R
-    n = s.order
-    for a in range(n):
-        for b in range(n):
+    for a in range(f.n):
+        for b in range(f.n):
             lhs = one_sided.related(a, b)
-            for ap in inverses_of(s, a):
-                for bp in inverses_of(s, b):
+            for ap in inv[a]:
+                for bp in inv[b]:
                     if side == "left":
-                        x, y = _mul(s, ap, a), _mul(s, bp, b)
+                        x, y = mult[ap][a], mult[bp][b]
                     else:
-                        x, y = _mul(s, a, ap), _mul(s, b, bp)
+                        x, y = mult[a][ap], mult[b][bp]
                     if lhs != greens.H.related(x, y):
                         return False, (a, b, ap, bp)
     return True, None
 
 
-def _idempotent_conjugates(s) -> Verdict:
-    n = s.order
-    idem = ordered_idempotents(s)
-    for a in range(n):
-        for ap in inverses_of(s, a):
-            for e in idem:
-                left = any(_mul(s, a, e, x, ap) in idem for x in range(n))
-                right = any(_mul(s, ap, e, y, a) in idem for y in range(n))
-                if not (left and right):
+def _idempotent_conjugates(f: Facts) -> Verdict:
+    # {aexa'} is pxq[ae][a'] and {a'eya} is pxq[a'e][a], bracketed as scanned
+    mult, pxq, idem = f.mult, f.pxq, f.idem_mask
+    for a in range(f.n):
+        for ap in f.inv[a]:
+            for e in f.idem:
+                if not (pxq[mult[a][e]][ap] & idem and pxq[mult[ap][e]][a] & idem):
                     return False, (a, ap, e)
     return True, None
 
 
-def _product_reproduction(s) -> Verdict:
-    n, leq = s.order, s.leq
-    for a in range(n):
-        for b in range(n):
-            for ap in inverses_of(s, a):
-                for bp in inverses_of(s, b):
-                    ab = _mul(s, a, b)
-                    bpap = _mul(s, bp, ap)
-                    fwd = any(
-                        leq[ab][_mul(s, a, b, bp, x, ap, a, b)] for x in range(n)
-                    )
-                    if not fwd:
+def _product_reproduction(f: Facts) -> Verdict:
+    # by associativity abb'xa'ab is (abb')x(a'ab), and b'a'aybb'a' is
+    # (b'a'a)y(bb'a'), so each scan over x or y is one mask of pxq
+    mult, pxq, up = f.mult, f.pxq, f.up
+    for a in range(f.n):
+        for b in range(f.n):
+            ab = mult[a][b]
+            for ap in f.inv[a]:
+                apab = mult[mult[ap][a]][b]
+                for bp in f.inv[b]:
+                    if not pxq[mult[ab][bp]][apab] & up[ab]:
                         return False, (a, b, ap, bp)
-                    bwd = any(
-                        leq[bpap][_mul(s, bp, ap, a, y, b, bp, ap)] for y in range(n)
-                    )
-                    if not bwd:
+                    bpap = mult[bp][ap]
+                    if not pxq[mult[bpap][a]][mult[mult[b][bp]][ap]] & up[bpap]:
                         return False, (a, b, ap, bp)
     return True, None
 
 
-def _sandwich_inverses(s) -> Verdict:
-    idem = ordered_idempotents(s).members()
-    for e in idem:
-        for f in idem:
-            inside = _sandwich(s, e, f)
-            back = _sandwich(s, f, e)
-            for x in inside:
-                for xp in inverses_of(s, x):
-                    if xp not in back:
-                        return False, (e, f, x, xp)
+def _sandwich_inverses(f: Facts) -> Verdict:
+    """Inverses of members of (eSf], the downward closure of pxq[e][f],
+    lie in (fSe]."""
+    down, pxq, inv_mask = f.down, f.pxq, f.inv_mask
+    for e in f.idem:
+        for g in f.idem:
+            inside = union_of(down, pxq[e][g])
+            back = union_of(down, pxq[g][e])
+            for x in range(f.n):
+                stray = inv_mask[x] & ~back if inside >> x & 1 else 0
+                if stray:
+                    return False, (e, g, x, (stray & -stray).bit_length() - 1)
     return True, None
 
 
-def _inverse_pair_products_commute(s, elements) -> Verdict:
+def _inverse_pair_products_commute(f: Facts, elements) -> Verdict:
     """aa' and a'a are H-commutative for each a in elements, each a'."""
+    mult = f.mult
     for a in elements:
-        for ap in inverses_of(s, a):
-            if not h_commutes(s, _mul(s, a, ap), _mul(s, ap, a)):
+        for ap in f.inv[a]:
+            if not f.h_commutes(mult[a][ap], mult[ap][a]):
                 return False, (a, ap)
     return True, None
 
 
-def _inverse_and_completely_regular(s) -> Verdict:
-    inv = is_inverse_ordered(s)
+def _inverse_and_completely_regular(f: Facts) -> Verdict:
+    inv = f.inverse()
     if not inv.holds:
         return False, inv.witness
-    return _report_verdict(regularity(s, "completely_regular"))
+    return _report_verdict(f.regularity("completely_regular"))
 
 
-def _group_like_decomposition(s) -> Verdict:
+def _group_like_decomposition(f: Facts) -> Verdict:
     """S is a complete semilattice of group-like ordered semigroups exactly
     when every class of sigma, the least complete semilattice congruence,
     is group-like; the witness is sigma's classes.
@@ -224,27 +195,26 @@ def _group_like_decomposition(s) -> Verdict:
     sigma is the only partition that can serve, and the decomposition in
     the paper's main theorem is unique when it exists.
     """
-    sigma = least_complete_semilattice_congruence(s)
-    if all(is_group_like(substructure(s, c)).holds for c in sigma.classes):
+    sigma = f.sigma
+    if all(is_group_like(substructure(f.s, c)).holds for c in sigma.classes):
         return True, sigma.classes
     return False, None
 
 
-def _idempotent_products_h_related(s) -> Verdict:
-    idem = ordered_idempotents(s)
-    h = greens_relations(s).H
-    for a in range(s.order):
-        for b in range(s.order):
-            ab, ba = _mul(s, a, b), _mul(s, b, a)
-            if ab in idem and ba in idem and not h.related(ab, ba):
+def _idempotent_products_h_related(f: Facts) -> Verdict:
+    mult, idem, h = f.mult, f.idem_mask, f.greens.H
+    for a in range(f.n):
+        for b in range(f.n):
+            ab, ba = mult[a][b], mult[b][a]
+            if idem >> ab & 1 and idem >> ba & 1 and not h.related(ab, ba):
                 return False, (a, b)
     return True, None
 
 
-def _all_greens_coincide(s) -> Verdict:
-    greens = greens_relations(s)
-    for a in range(s.order):
-        for b in range(a + 1, s.order):
+def _all_greens_coincide(f: Facts) -> Verdict:
+    greens = f.greens
+    for a in range(f.n):
+        for b in range(a + 1, f.n):
             h = greens.H.related(a, b)
             if greens.L.related(a, b) != h or greens.R.related(a, b) != h \
                     or greens.J.related(a, b) != h:
@@ -252,28 +222,27 @@ def _all_greens_coincide(s) -> Verdict:
     return True, None
 
 
-def _cr_gives_witnessed_powers(s) -> Verdict:
-    if not regularity(s, "completely_regular").holds:
+def _cr_gives_witnessed_powers(f: Facts) -> Verdict:
+    if f.not_completely_regular is not None:
         return True, None
-    n, leq = s.order, s.leq
-    for a in range(n):
-        aa = _mul(s, a, a)
+    mult, leq, span = f.mult, f.s.leq, range(f.n)
+    for a in span:
+        aa = mult[a][a]
         found = any(
-            leq[a][_mul(s, a, x, aa)] and leq[a][_mul(s, aa, x, a)]
-            for x in range(n)
+            leq[a][mult[mult[a][x]][aa]] and leq[a][mult[mult[aa][x]][a]]
+            for x in span
         )
         if not found:
             return False, (a,)
     return True, None
 
 
-def _cr_least_congruence_is_j(s) -> Verdict:
-    if not regularity(s, "completely_regular").holds:
+def _cr_least_congruence_is_j(f: Facts) -> Verdict:
+    if f.not_completely_regular is not None:
         return True, None
-    least = least_complete_semilattice_congruence(s)
-    j = greens_relations(s).J
-    for a in range(s.order):
-        for b in range(a + 1, s.order):
+    least, j = f.sigma, f.greens.J
+    for a in range(f.n):
+        for b in range(a + 1, f.n):
             if least.related(a, b) != j.related(a, b):
                 return False, (a, b)
     return True, None
@@ -290,19 +259,19 @@ def _register(id: str, description: str, ambient: str | None, fn):
 
 
 _register("T33.L", "principal left ideals have H-unique idempotent generators",
-          None, lambda s: _report_verdict(generator_uniqueness(s, "left")))
+          None, lambda f: _report_verdict(f.generator_uniqueness("left")))
 _register("T33.R", "principal right ideals have H-unique idempotent generators",
-          None, lambda s: _report_verdict(generator_uniqueness(s, "right")))
+          None, lambda f: _report_verdict(f.generator_uniqueness("right")))
 _register("T35.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, lambda s: _report_verdict(is_inverse_ordered(s)))
+          REGULAR, lambda f: _report_verdict(f.inverse()))
 _register("T35.2", "regular with pairwise H-commutative ordered idempotents",
           None, _regular_and_idempotents_commute)
 _register("T35.3", "L- or R-related ordered idempotents are H-related",
-          None, lambda s: _green_related_idempotents_h_related(s, ("L", "R")))
+          None, lambda f: _green_related_idempotents_h_related(f, ("L", "R")))
 _register("L4.1", "a L b exactly when a'a H b'b for all inverse choices",
-          REGULAR, lambda s: _one_sided_iff_inverse_products(s, "left"))
+          REGULAR, lambda f: _one_sided_iff_inverse_products(f, "left"))
 _register("L4.2", "a R b exactly when aa' H bb' for all inverse choices",
-          REGULAR, lambda s: _one_sided_iff_inverse_products(s, "right"))
+          REGULAR, lambda f: _one_sided_iff_inverse_products(f, "right"))
 _register("L4.3", "aexa' and a'eya land in the ordered idempotents for some x, y",
           REGULAR, _idempotent_conjugates)
 _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
@@ -310,17 +279,15 @@ _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
 _register("TESF", "inverses of members of (eSf] lie in (fSe]",
           None, _sandwich_inverses)
 _register("C.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, lambda s: _report_verdict(is_inverse_ordered(s)))
+          REGULAR, lambda f: _report_verdict(f.inverse()))
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
-          REGULAR, lambda s: _inverse_pair_products_commute(s, range(s.order)))
+          REGULAR, lambda f: _inverse_pair_products_commute(f, range(f.n)))
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
-          REGULAR, lambda s: inverses_pairwise_related(
-              s, ordered_idempotents(s), greens_relations(s).H.related))
+          REGULAR, lambda f: f.inverses_pairwise_related(f.idem, f.greens.H.related))
 _register("C.4", "any two inverses of an ordered idempotent are H-commutative",
-          REGULAR, lambda s: inverses_pairwise_related(
-              s, ordered_idempotents(s), lambda b, c: h_commutes(s, b, c)))
+          REGULAR, lambda f: f.inverses_pairwise_related(f.idem, f.h_commutes))
 _register("C.5", "ee' and e'e are H-commutative for idempotent inverse pairs",
-          REGULAR, lambda s: _inverse_pair_products_commute(s, ordered_idempotents(s)))
+          REGULAR, lambda f: _inverse_pair_products_commute(f, f.idem))
 _register("B.1", "inverse and completely regular",
           REGULAR, _inverse_and_completely_regular)
 _register("B.2", "complete semilattice decomposition into group-like classes",
@@ -328,10 +295,9 @@ _register("B.2", "complete semilattice decomposition into group-like classes",
 _register("B.3", "ab H ba whenever both products are ordered idempotents",
           REGULAR, _idempotent_products_h_related)
 _register("B.4", "every ordered idempotent is H-commutative with every element",
-          REGULAR, lambda s: _idempotents_h_commute_with(
-              s, ordered_idempotents(s), range(s.order)))
+          REGULAR, lambda f: _idempotents_h_commute_with(f, range(f.n)))
 _register("B.5", "J-related ordered idempotents are H-related",
-          REGULAR, lambda s: _green_related_idempotents_h_related(s, ("J",)))
+          REGULAR, lambda f: _green_related_idempotents_h_related(f, ("J",)))
 _register("B.6", "H, L, R, J all coincide",
           REGULAR, _all_greens_coincide)
 _register("CR.W", "complete regularity yields a <= axa2 and a <= a2xa",
@@ -380,30 +346,34 @@ def theorem_ids() -> tuple[str, ...]:
 # evaluation
 
 
-def _ambient_met(s: OrderedSemigroup, ambient: str | None) -> bool:
+def _ambient_met(f: Facts, ambient: str | None) -> bool:
     if ambient is None:
         return True
     if ambient == REGULAR:
-        return regularity(s, "regular").holds
+        return f.not_regular is None
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
 def evaluate_condition(s: OrderedSemigroup, condition_id: str) -> ConditionVerdict:
     """Decide one catalog condition on a valid structure."""
+    return _condition_verdict(facts(s), condition_id)
+
+
+def _condition_verdict(f: Facts, condition_id: str) -> ConditionVerdict:
     try:
         condition = CONDITIONS[condition_id]
     except KeyError:
         raise KeyError(
             f"unknown condition {condition_id!r}; known: {list(CONDITIONS)}"
         ) from None
-    holds, witness = condition.fn(s)
+    holds, witness = condition.fn(f)
     return ConditionVerdict(
-        condition_id, holds, witness, _ambient_met(s, condition.ambient)
+        condition_id, holds, witness, _ambient_met(f, condition.ambient)
     )
 
 
-def _item_verdict(s: OrderedSemigroup, item: tuple[str, ...]) -> ConditionVerdict:
-    verdicts = [evaluate_condition(s, cid) for cid in item]
+def _item_verdict(f: Facts, item: tuple[str, ...]) -> ConditionVerdict:
+    verdicts = [_condition_verdict(f, cid) for cid in item]
     if len(verdicts) == 1:
         return verdicts[0]
     holds = all(v.holds for v in verdicts)
@@ -431,13 +401,14 @@ def _consistency(kind: str, vector: tuple[ConditionVerdict, ...]) -> bool:
 
 
 def check_theorem(s: OrderedSemigroup, theorem_id: str, *,
-                  _canonical_hex: str | None = None) -> TheoremReport:
+                  _canonical_hex: str | None = None,
+                  _facts: Facts | None = None) -> TheoremReport:
     """Evaluate a grouping's condition vector on one valid structure.
 
     The report is marked hypothesis-unmet (and should be excluded from
     consistency accounting) when the structure misses the ambient.
-    ``_canonical_hex`` is ``canonical_form(s).hex()`` when the caller
-    already holds it, as :func:`sweep` does.
+    ``_canonical_hex`` is ``canonical_form(s).hex()`` and ``_facts`` is
+    ``facts(s)`` when the caller already holds them, as :func:`sweep` does.
     """
     try:
         theorem = THEOREMS[theorem_id]
@@ -445,13 +416,14 @@ def check_theorem(s: OrderedSemigroup, theorem_id: str, *,
         raise KeyError(
             f"unknown theorem {theorem_id!r}; known: {list(THEOREMS)}"
         ) from None
-    vector = tuple(_item_verdict(s, item) for item in theorem.items)
+    f = _facts or facts(s)
+    vector = tuple(_item_verdict(f, item) for item in theorem.items)
     return TheoremReport(
         theorem=theorem_id,
         structure=_canonical_hex or canonical_form(s).hex(),
         vector=vector,
         consistent=_consistency(theorem.kind, vector),
-        hypothesis_met=_ambient_met(s, theorem.ambient),
+        hypothesis_met=_ambient_met(f, theorem.ambient),
     )
 
 
@@ -563,22 +535,26 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
         keyed.append((canonical_form(s).hex(), s))
     keyed.sort(key=lambda pair: pair[0])
 
-    # class by class, so the first copy's cached facts are used by every
-    # grouping while they are still cached
+    # class by class: each copy's fact record serves every grouping, and
+    # is dropped with its class
     met = [0] * len(ids)
     inconsistencies = [[] for _ in ids]
     outside = [[] for _ in ids]
     for hexkey, group in groupby(keyed, key=lambda pair: pair[0]):
         copies = [s for _, s in group]
+        records = [facts(copies[0])]  # a copy's record is built when first re-checked
         for k, tid in enumerate(ids):
             kind = THEOREMS[tid].kind
-            first = check_theorem(copies[0], tid, _canonical_hex=hexkey)
+            first = check_theorem(copies[0], tid, _canonical_hex=hexkey, _facts=records[0])
             if _silent(first, kind):
                 if first.hypothesis_met:
                     met[k] += len(copies)
                 continue
             for i, s in enumerate(copies):
-                report = first if i == 0 else check_theorem(s, tid, _canonical_hex=hexkey)
+                if i == len(records):
+                    records.append(facts(s))
+                report = first if i == 0 else check_theorem(
+                    s, tid, _canonical_hex=hexkey, _facts=records[i])
                 if report.hypothesis_met:
                     met[k] += 1
                     if not report.consistent:

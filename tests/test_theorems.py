@@ -10,6 +10,7 @@ from osgkit.properties import (
     GENERATOR_SIDES,
     GROUP_LIKE_KINDS,
     REGULARITY_KINDS,
+    facts,
     generator_uniqueness,
     h_commutes,
     inverses_of,
@@ -19,13 +20,14 @@ from osgkit.properties import (
     regularity,
 )
 from osgkit.relations import greens_relations
-from osgkit import kernel, oracles, relations
+from osgkit import kernel, oracles, relations, theorems
 from osgkit.enumeration import (
     EnumerationOptions,
     enumerate_ordered_semigroups,
     enumerate_partial_orders,
 )
 from osgkit.structure import canonical_form, from_flat, from_table, relabel, validate
+from osgkit.subsets import Subset
 from osgkit.theorems import (
     CONDITIONS,
     THEOREMS,
@@ -197,18 +199,27 @@ def test_sweep_canonicalises_each_structure_once(monkeypatch, n2, sl2, lz2):
 
 def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
     # B.2 reads sigma: no catalog condition scans a candidate congruence
-    # or lists the Bell(n) partitions of the carrier
+    # or lists the Bell(n) partitions of the carrier.  The conditions read
+    # one fact record per structure, of int masks, and build no Subset.
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
     assert len(corpus) == 173
+    built = []
 
     def forbidden(*args):
-        raise AssertionError("the catalog searched partitions")
+        raise AssertionError("the sweep searched partitions or built a Subset")
+
+    def counted(s):
+        built.append(s)
+        return facts(s)
 
     with monkeypatch.context() as patched:
         patched.setattr(relations, "is_congruence", forbidden)
         patched.setattr(oracles, "all_partitions", forbidden)
+        patched.setattr(Subset, "__post_init__", forbidden)
+        patched.setattr(theorems, "facts", counted)
         report = sweep(corpus)
     assert report == sweep(corpus)
+    assert len(built) == 173  # one record per class, none per grouping
 
 
 def test_sweep_fixture_pair(sl2, lz2):
@@ -299,6 +310,9 @@ def test_sweep_flags_manufactured_disagreement(monkeypatch):
 VERDICTS_UPTO3_LABELLED_SHA256 = (
     "6b51708a33b0ba229928ef8f46f335ab98a97778356695ea5f41d9b10bb99f6a"
 )
+VERDICTS_ORDER4_ISO_SHA256 = (
+    "113ff9dc13ce76e569dd97ebf7bb7fa85d108f20df3ffeedb211c6e4594dba8b"
+)
 
 
 def _verdict_record(s) -> str:
@@ -311,12 +325,22 @@ def _verdict_record(s) -> str:
     return repr((s.order, s.mult, s.leq, conditions, [asdict(r) for r in reports]))
 
 
-def test_verdicts_upto_order_3_are_frozen(corpus_upto3_labelled):
-    assert len(corpus_upto3_labelled) == 992
+@pytest.fixture(scope="module")
+def corpus_order4_iso():
+    return list(enumerate_ordered_semigroups(EnumerationOptions(4, mode="up_to_iso")))
+
+
+@pytest.mark.parametrize("corpus, count, expected", [
+    ("corpus_upto3_labelled", 992, VERDICTS_UPTO3_LABELLED_SHA256),
+    ("corpus_order4_iso", 4753, VERDICTS_ORDER4_ISO_SHA256),
+], ids=["upto-3-labelled", "order-4-iso"])
+def test_verdicts_are_frozen(request, corpus, count, expected):
+    corpus = request.getfixturevalue(corpus)
+    assert len(corpus) == count
     digest = hashlib.sha256()
-    for s in corpus_upto3_labelled:
+    for s in corpus:
         digest.update(_verdict_record(s).encode() + b"\n")
-    assert digest.hexdigest() == VERDICTS_UPTO3_LABELLED_SHA256
+    assert digest.hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------

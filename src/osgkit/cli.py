@@ -26,7 +26,7 @@ from osgkit.enumeration import (
     shard_stream,
     write_corpus,
 )
-from osgkit.properties import facts
+from osgkit.properties import GENERATOR_SIDES, GROUP_LIKE_KINDS, REGULARITY_KINDS, facts
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
@@ -36,7 +36,7 @@ from osgkit.structure import (
     parse_named_structure,
     validate,
 )
-from osgkit.subsets import is_simple
+from osgkit.subsets import SIDES, is_simple
 from osgkit.theorems import sweep, theorem_ids
 
 EXIT_OK = 0
@@ -176,23 +176,23 @@ def _cmd_analyze(args, out) -> int:
             "classes": _partition_names(least, names),
         },
     ]
-    for kind in ("regular", "completely_regular", "right_regular", "left_regular"):
+    for kind in REGULARITY_KINDS:
         findings.append(_property_finding("regularity", f.regularity(kind), names))
-    for kind in ("two_sided", "left", "right"):
+    for kind in GROUP_LIKE_KINDS:
         findings.append(_property_finding("group_like", f.group_like(kind), names))
     findings.append(_property_finding("inverse", f.inverse(), names))
-    for side in ("left", "right"):
+    for side in GENERATOR_SIDES:
         findings.append(
             _property_finding("generator_uniqueness", f.generator_uniqueness(side), names)
         )
-    for side in ("left", "right", "two_sided"):
+    for side in SIDES:
         verdict = is_simple(s, side)
         findings.append({
             "kind": "simplicity",
             "side": side,
             "holds": verdict.ok,
             "witness": None if verdict.witness is None
-            else [names[i] for i in verdict.witness],
+            else [names[i] for i in sorted(verdict.witness)],
         })
     doc = {
         "command": "analyze",

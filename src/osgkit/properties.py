@@ -22,7 +22,7 @@ from osgkit.relations import (
     least_complete_semilattice_congruence,
 )
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import Subset, bit_mask, table_masks
+from osgkit.subsets import bit_mask, table_masks
 
 REGULARITY_KINDS = ("regular", "completely_regular", "right_regular", "left_regular")
 GROUP_LIKE_KINDS = ("two_sided", "left", "right")
@@ -163,15 +163,15 @@ def facts(s: OrderedSemigroup) -> Facts:
     )
 
 
-def ordered_idempotents(s: OrderedSemigroup) -> Subset:
+def ordered_idempotents(s: OrderedSemigroup) -> frozenset[int]:
     """Elements e with e <= e*e."""
-    return Subset(facts(s).idem_mask, s.order)
+    return frozenset(facts(s).idem)
 
 
 @lru_cache(maxsize=65536)
-def inverses_of(s: OrderedSemigroup, a: int) -> Subset:
+def inverses_of(s: OrderedSemigroup, a: int) -> frozenset[int]:
     """All b with a <= a*b*a and b <= b*a*b."""
-    return Subset(facts(s).inv_mask[a], s.order)
+    return frozenset(facts(s).inv[a])
 
 
 @lru_cache(maxsize=65536)

@@ -3,13 +3,13 @@ and the ideal/simplicity predicates.
 
 Subsets of the carrier are bit masks, as plain ints in the tables that
 Green's relations and the fact record of :mod:`osgkit.properties` are
-built from, and wrapped as :class:`Subset` values in the public
-functions; all functions are pure.
+built from.  The public functions take any iterable of carrier indices,
+reject members outside the carrier with ``ValueError``, and return
+``frozenset[int]``; all functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from osgkit.structure import OrderedSemigroup
@@ -17,64 +17,18 @@ from osgkit.structure import OrderedSemigroup
 SIDES = ("left", "right", "two_sided")
 
 
-@dataclass(frozen=True)
-class Subset:
-    """Subset of carrier indices 0..n-1, stored as a bit mask."""
+def _carrier_subset(s: OrderedSemigroup, x) -> frozenset[int]:
+    """x, an iterable of carrier indices of s, as a frozenset."""
+    x = frozenset(x)
+    for m in x:
+        if not 0 <= m < s.order:
+            raise ValueError(f"member {m} outside carrier of order {s.order}")
+    return x
 
-    bits: int
-    n: int
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bits outside the carrier range")
-
-    @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def of(cls, members, n: int) -> "Subset":
-        bits = 0
-        for m in members:
-            if not 0 <= m < n:
-                raise ValueError(f"member {m} outside carrier of order {n}")
-            bits |= 1 << m
-        return cls(bits, n)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.bits >> i & 1)
-
-    def __iter__(self):
-        return iter(self.members())
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.n and bool(self.bits >> i & 1)
-
-    def __len__(self) -> int:
-        return bin(self.bits).count("1")
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __or__(self, other: "Subset") -> "Subset":
-        self._check(other)
-        return Subset(self.bits | other.bits, self.n)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        self._check(other)
-        return Subset(self.bits & other.bits, self.n)
-
-    def issubset(self, other: "Subset") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def _check(self, other: "Subset"):
-        if self.n != other.n:
-            raise ValueError("subsets belong to different carriers")
+def _members(bits: int) -> frozenset[int]:
+    """The elements whose bits are set in bits."""
+    return frozenset(v for v in range(bits.bit_length()) if bits >> v & 1)
 
 
 def _check_side(side: str):
@@ -125,26 +79,22 @@ def ideal_masks(s: OrderedSemigroup):
     )
 
 
-def downward_closure(s: OrderedSemigroup, x: Subset) -> Subset:
+def downward_closure(s: OrderedSemigroup, x) -> frozenset[int]:
     """Everything below some member of x: {t : t <= h for some h in x}."""
-    return Subset(union_of(table_masks(s)[1], x.bits), s.order)
+    return _members(union_of(table_masks(s)[1], bit_mask(_carrier_subset(s, x))))
 
 
-def subset_product(s: OrderedSemigroup, x: Subset, y: Subset) -> Subset:
+def subset_product(s: OrderedSemigroup, x, y) -> frozenset[int]:
     """Elementwise product set {i*j : i in x, j in y}."""
-    bits = 0
-    for i in x:
-        row = s.mult[i]
-        for j in y:
-            bits |= 1 << row[j]
-    return Subset(bits, s.order)
+    x, y = _carrier_subset(s, x), _carrier_subset(s, y)
+    return frozenset(s.mult[i][j] for i in x for j in y)
 
 
-def principal_ideal(s: OrderedSemigroup, a: int, side: str) -> Subset:
+def principal_ideal(s: OrderedSemigroup, a: int, side: str) -> frozenset[int]:
     """Downward-closed principal ideal of a; the identity adjunction is
     realised by uniting {a} with the translate sets before closing."""
     _check_side(side)
-    return Subset(ideal_masks(s)[SIDES.index(side)][a], s.order)
+    return _members(ideal_masks(s)[SIDES.index(side)][a])
 
 
 class IdealVerdict(NamedTuple):
@@ -153,7 +103,7 @@ class IdealVerdict(NamedTuple):
     pair: tuple[int, int] | None = None
 
 
-def is_ideal(s: OrderedSemigroup, i: Subset, side: str) -> IdealVerdict:
+def is_ideal(s: OrderedSemigroup, i, side: str) -> IdealVerdict:
     """Absorption for the given side plus downward closure.
 
     Rejects the empty subset.  On failure the verdict names the broken
@@ -162,23 +112,24 @@ def is_ideal(s: OrderedSemigroup, i: Subset, side: str) -> IdealVerdict:
     outside for closure.
     """
     _check_side(side)
+    i = _carrier_subset(s, i)
     if not i:
         raise ValueError("ideal candidates must be nonempty")
-    members = i.members()
+    inside = sorted(i)
     if side in ("left", "two_sided"):
         for x in range(s.order):
-            for a in members:
+            for a in inside:
                 if s.mult[x][a] not in i:
                     return IdealVerdict(False, "left_absorption", (x, a))
     if side in ("right", "two_sided"):
-        for a in members:
+        for a in inside:
             for x in range(s.order):
                 if s.mult[a][x] not in i:
                     return IdealVerdict(False, "right_absorption", (a, x))
     for t in range(s.order):
         if t in i:
             continue
-        for h in members:
+        for h in inside:
             if s.leq[t][h]:
                 return IdealVerdict(False, "downward_closure", (t, h))
     return IdealVerdict(True)
@@ -186,7 +137,7 @@ def is_ideal(s: OrderedSemigroup, i: Subset, side: str) -> IdealVerdict:
 
 class SimplicityVerdict(NamedTuple):
     ok: bool
-    witness: Subset | None = None
+    witness: frozenset[int] | None = None
 
 
 def is_simple(s: OrderedSemigroup, side: str) -> SimplicityVerdict:
@@ -199,7 +150,7 @@ def is_simple(s: OrderedSemigroup, side: str) -> SimplicityVerdict:
     n = s.order
     masks = sorted(range(1, (1 << n) - 1), key=lambda m: (bin(m).count("1"), m))
     for mask in masks:
-        candidate = Subset(mask, n)
+        candidate = _members(mask)
         if is_ideal(s, candidate, side).ok:
             return SimplicityVerdict(False, candidate)
     return SimplicityVerdict(True)

@@ -8,6 +8,9 @@ order.  Theorem groupings bundle conditions that are
 expected to agree (equivalences), to follow from the first condition
 (implications), or to hold outright, under an ambient hypothesis.
 
+Groupings share conditions (T35.1 is in four of them), so one builder
+decides each condition that a set of groupings needs once per fact
+record and builds every grouping's report from those verdicts.
 Sweeping a corpus reports, per grouping, how many structures met the
 hypothesis and every disagreement found; structures outside the ambient
 are still evaluated and logged separately so borderline cases stay
@@ -372,8 +375,8 @@ def _condition_verdict(f: Facts, condition_id: str) -> ConditionVerdict:
     )
 
 
-def _item_verdict(f: Facts, item: tuple[str, ...]) -> ConditionVerdict:
-    verdicts = [_condition_verdict(f, cid) for cid in item]
+def _item_verdict(decided: dict, item: tuple[str, ...]) -> ConditionVerdict:
+    verdicts = [decided[cid] for cid in item]
     if len(verdicts) == 1:
         return verdicts[0]
     holds = all(v.holds for v in verdicts)
@@ -400,31 +403,43 @@ def _consistency(kind: str, vector: tuple[ConditionVerdict, ...]) -> bool:
     return _agrees(kind, [v.holds for v in vector if v.hypothesis_met])
 
 
-def check_theorem(s: OrderedSemigroup, theorem_id: str, *,
-                  _canonical_hex: str | None = None,
-                  _facts: Facts | None = None) -> TheoremReport:
-    """Evaluate a grouping's condition vector on one valid structure.
-
-    The report is marked hypothesis-unmet (and should be excluded from
-    consistency accounting) when the structure misses the ambient.
-    ``_canonical_hex`` is ``canonical_form(s).hex()`` and ``_facts`` is
-    ``facts(s)`` when the caller already holds them, as :func:`sweep` does.
-    """
+def _theorem(theorem_id: str) -> Theorem:
     try:
-        theorem = THEOREMS[theorem_id]
+        return THEOREMS[theorem_id]
     except KeyError:
         raise KeyError(
             f"unknown theorem {theorem_id!r}; known: {list(THEOREMS)}"
         ) from None
-    f = _facts or facts(s)
-    vector = tuple(_item_verdict(f, item) for item in theorem.items)
-    return TheoremReport(
-        theorem=theorem_id,
-        structure=_canonical_hex or canonical_form(s).hex(),
-        vector=vector,
-        consistent=_consistency(theorem.kind, vector),
-        hypothesis_met=_ambient_met(f, theorem.ambient),
-    )
+
+
+def _reports(f: Facts, structure: str, theorem_ids) -> list[TheoremReport]:
+    """One report per grouping, in order, on the structure whose fact
+    record is f and whose canonical form is structure; each condition the
+    groupings name is decided once."""
+    theorems = [_theorem(tid) for tid in theorem_ids]
+    needed = dict.fromkeys(cid for t in theorems for item in t.items for cid in item)
+    decided = {cid: _condition_verdict(f, cid) for cid in needed}
+    reports = []
+    for theorem in theorems:
+        vector = tuple(_item_verdict(decided, item) for item in theorem.items)
+        reports.append(TheoremReport(
+            theorem=theorem.id,
+            structure=structure,
+            vector=vector,
+            consistent=_consistency(theorem.kind, vector),
+            hypothesis_met=_ambient_met(f, theorem.ambient),
+        ))
+    return reports
+
+
+def check_theorem(s: OrderedSemigroup, theorem_id: str) -> TheoremReport:
+    """Evaluate a grouping's condition vector on one valid structure.
+
+    The report is marked hypothesis-unmet (and should be excluded from
+    consistency accounting) when the structure misses the ambient.  It is
+    the report :func:`sweep` gives the structure for that grouping.
+    """
+    return _reports(facts(s), canonical_form(s).hex(), (theorem_id,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,29 +517,20 @@ def _full_vector_disagrees(report: TheoremReport, kind: str) -> bool:
     return not _agrees(kind, [v.holds for v in report.vector])
 
 
-def _silent(report: TheoremReport, kind: str) -> bool:
-    """True when the report adds no record to a sweep."""
-    if report.hypothesis_met:
-        return report.consistent
-    return not _full_vector_disagrees(report, kind)
-
-
 def sweep(corpus, theorem_ids=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
     canonical form.  Invalid corpus members are skipped with a note.
 
     Isomorphic copies share their canonical form, and a condition's
     ``holds`` and ``hypothesis_met`` must not depend on the labelling
-    (only its witness may), as for every catalog condition.  Each grouping
-    is therefore checked once per isomorphism class, on its first copy in
-    corpus order; when that report adds no record, it is counted for every
-    copy.  Otherwise every copy is checked, so each record carries its own
+    (only its witness may), as for every catalog condition.  Each class is
+    therefore checked on its first copy in corpus order, and its reports
+    count for every copy.  The other copies are checked only for the
+    groupings that record the class, so each record carries its own
     copy's report and witnesses.
     """
     ids = tuple(theorem_ids) if theorem_ids else tuple(THEOREMS)
-    for tid in ids:
-        if tid not in THEOREMS:
-            raise KeyError(f"unknown theorem {tid!r}; known: {list(THEOREMS)}")
+    kinds = [_theorem(tid).kind for tid in ids]
 
     keyed = []
     skipped = []
@@ -535,32 +541,27 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
         keyed.append((canonical_form(s).hex(), s))
     keyed.sort(key=lambda pair: pair[0])
 
-    # class by class: each copy's fact record serves every grouping, and
-    # is dropped with its class
+    # class by class: a copy's fact record serves every grouping, and is
+    # dropped with its class
     met = [0] * len(ids)
     inconsistencies = [[] for _ in ids]
     outside = [[] for _ in ids]
     for hexkey, group in groupby(keyed, key=lambda pair: pair[0]):
         copies = [s for _, s in group]
-        records = [facts(copies[0])]  # a copy's record is built when first re-checked
-        for k, tid in enumerate(ids):
-            kind = THEOREMS[tid].kind
-            first = check_theorem(copies[0], tid, _canonical_hex=hexkey, _facts=records[0])
-            if _silent(first, kind):
-                if first.hypothesis_met:
-                    met[k] += len(copies)
-                continue
-            for i, s in enumerate(copies):
-                if i == len(records):
-                    records.append(facts(s))
-                report = first if i == 0 else check_theorem(
-                    s, tid, _canonical_hex=hexkey, _facts=records[i])
-                if report.hypothesis_met:
-                    met[k] += 1
-                    if not report.consistent:
-                        inconsistencies[k].append(InconsistencyRecord(hexkey, s, report))
-                elif _full_vector_disagrees(report, kind):
-                    outside[k].append(InconsistencyRecord(hexkey, s, report))
+        first = _reports(facts(copies[0]), hexkey, ids)
+        recorded = []  # (grouping index, the list its records go to)
+        for k, report in enumerate(first):
+            if report.hypothesis_met:
+                met[k] += len(copies)
+                if not report.consistent:
+                    recorded.append((k, inconsistencies[k]))
+            elif _full_vector_disagrees(report, kinds[k]):
+                recorded.append((k, outside[k]))
+        for i, s in enumerate(copies if recorded else ()):
+            reports = (_reports(facts(s), hexkey, [ids[k] for k, _ in recorded]) if i
+                       else [first[k] for k, _ in recorded])
+            for (_, records), report in zip(recorded, reports):
+                records.append(InconsistencyRecord(hexkey, s, report))
     sweeps = tuple(
         TheoremSweep(
             theorem=tid,

@@ -54,6 +54,23 @@ def c2():
 
 
 @pytest.fixture(scope="session")
+def b2():
+    # the five-element Brandt semigroup, discrete order: 0 is the zero and
+    # 1, 2, 3, 4 are e11, e12, e21, e22, where e_ij * e_kl = e_il when
+    # j == k and 0 otherwise
+    units = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
+    index = {ij: x for x, ij in units.items()}
+
+    def mul(a, b):
+        if not a or not b:
+            return 0
+        (i, j), (k, l) = units[a], units[b]
+        return index[i, l] if j == k else 0
+
+    return from_table([[mul(a, b) for b in range(5)] for a in range(5)])
+
+
+@pytest.fixture(scope="session")
 def valid_fixtures(t1, sl2, lz2, n2):
     return {"t1": t1, "sl2": sl2, "lz2": lz2, "n2": n2}
 

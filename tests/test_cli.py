@@ -5,8 +5,8 @@ import json
 import pytest
 
 from osgkit.cli import main
-from osgkit.fixtures import fixture_path
-from osgkit.structure import format_structure, from_table
+from osgkit.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
+from osgkit.structure import format_structure, from_table, parse_named_structure
 
 
 def run_cli(*argv):
@@ -177,6 +177,28 @@ def test_inverses_by_index():
 def test_inverses_unknown_element_exits_2():
     code, _ = run_cli("inverses", SL2, "zz")
     assert code == 2
+
+
+ANALYZE_AND_INVERSES_SHA256 = "219d6d10d1af01a0945548ee247298649e9f07394ddefa5d3c4524e8567547ff"
+
+
+def test_analyze_and_inverses_are_frozen(tmp_path, monkeypatch, b2, corpus_upto3_iso):
+    # every fixture, B2 and the 173 order-3 classes: analyze, and inverses
+    # of each element, in both formats; the file is read by a relative
+    # path so the options echoed in JSON do not depend on the directory
+    texts = [fixture_text(name) for name in FIXTURE_NAMES]
+    texts += [format_structure(s) for s in [b2] + corpus_upto3_iso if s.order >= 3]
+    assert len(texts) == len(FIXTURE_NAMES) + 1 + 173
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for text in texts:
+        (tmp_path / "s.osg").write_text(text)
+        _, names = parse_named_structure(text)
+        for argv in [["analyze", "s.osg"]] + [["inverses", "s.osg", e] for e in names]:
+            for fmt in ("text", "json"):
+                code, out = run_cli(*argv, "--format", fmt)
+                digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == ANALYZE_AND_INVERSES_SHA256
 
 
 # ---------------------------------------------------------------------------

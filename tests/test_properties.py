@@ -14,7 +14,7 @@ from osgkit.properties import (
 )
 from osgkit.relations import greens_relations
 from osgkit.structure import opposite, relabel
-from osgkit.subsets import downward_closure, subset_product, Subset
+from osgkit.subsets import downward_closure, subset_product
 
 
 # ---------------------------------------------------------------------------
@@ -22,16 +22,16 @@ from osgkit.subsets import downward_closure, subset_product, Subset
 
 
 def test_ordered_idempotents_examples(sl2, n2, t1):
-    assert ordered_idempotents(sl2).members() == (0, 1)
-    assert ordered_idempotents(n2).members() == (0,)
-    assert ordered_idempotents(t1).members() == (0,)
+    assert ordered_idempotents(sl2) == frozenset({0, 1})
+    assert ordered_idempotents(n2) == frozenset({0})
+    assert ordered_idempotents(t1) == frozenset({0})
 
 
 def test_inverses_examples(lz2, sl2, t1):
-    assert inverses_of(lz2, 0).members() == (0, 1)
-    assert inverses_of(sl2, 1).members() == (1,)
-    assert inverses_of(sl2, 0).members() == (0,)
-    assert inverses_of(t1, 0).members() == (0,)
+    assert inverses_of(lz2, 0) == frozenset({0, 1})
+    assert inverses_of(sl2, 1) == frozenset({1})
+    assert inverses_of(sl2, 0) == frozenset({0})
+    assert inverses_of(t1, 0) == frozenset({0})
 
 
 def test_inverse_symmetry(corpus_upto3_iso):
@@ -94,8 +94,7 @@ def test_regularity_witness_reverifies(corpus_upto3_iso):
         if report.holds:
             continue
         (a,) = report.witness
-        single = Subset.of([a], s.order)
-        asa = subset_product(s, subset_product(s, single, Subset.full(s.order)), single)
+        asa = subset_product(s, subset_product(s, {a}, range(s.order)), {a})
         assert a not in downward_closure(s, asa)
 
 
@@ -205,7 +204,7 @@ ALL_DECIDERS = [
     lambda s: is_inverse_ordered(s).holds,
     lambda s: generator_uniqueness(s, "left").holds,
     lambda s: generator_uniqueness(s, "right").holds,
-    lambda s: ordered_idempotents(s).bits.bit_count(),
+    lambda s: len(ordered_idempotents(s)),
     lambda s: sorted(len(inverses_of(s, a)) for a in range(s.order)),
 ]
 

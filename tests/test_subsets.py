@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from osgkit.properties import inverses_of
 from osgkit.subsets import (
-    Subset,
     downward_closure,
     is_ideal,
     is_simple,
@@ -13,34 +12,37 @@ from osgkit.subsets import (
 )
 
 
-def members(subset):
-    return subset.members()
+def full(s):
+    return frozenset(range(s.order))
+
+
+def bits_subset(s, bits):
+    return frozenset(v for v in range(s.order) if bits >> v & 1)
 
 
 # ---------------------------------------------------------------------------
-# Subset basics
+# carrier indices
 
 
-def test_subset_construction_and_queries():
-    s = Subset.of([0, 2], 3)
-    assert members(s) == (0, 2)
-    assert 0 in s and 1 not in s and 2 in s
-    assert len(s) == 2
-    assert bool(s)
-    assert not Subset.empty(3)
-    assert members(Subset.full(3)) == (0, 1, 2)
+def test_subset_rejects_out_of_range(valid_fixtures):
+    for s in valid_fixtures.values():
+        for stray in ({s.order}, [0, s.order], {-1}):
+            with pytest.raises(ValueError):
+                downward_closure(s, stray)
+            with pytest.raises(ValueError):
+                subset_product(s, stray, full(s))
+            with pytest.raises(ValueError):
+                subset_product(s, full(s), stray)
+            for side in ("left", "right", "two_sided"):
+                with pytest.raises(ValueError):
+                    is_ideal(s, stray, side)
 
 
-def test_subset_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Subset.of([3], 3)
-    with pytest.raises(ValueError):
-        Subset(0b1000, 3)
-
-
-def test_subset_operations_demand_same_carrier():
-    with pytest.raises(ValueError):
-        Subset.full(2) | Subset.full(3)
+def test_subsets_are_frozensets_of_any_iterable(sl2):
+    assert downward_closure(sl2, iter([0])) == frozenset({0, 1})
+    assert subset_product(sl2, (0,), [0, 1]) == frozenset({0, 1})
+    assert isinstance(principal_ideal(sl2, 0, "left"), frozenset)
+    assert isinstance(is_simple(sl2, "left").witness, frozenset)
 
 
 # ---------------------------------------------------------------------------
@@ -48,20 +50,20 @@ def test_subset_operations_demand_same_carrier():
 
 
 def test_closure_sl2(sl2):
-    assert members(downward_closure(sl2, Subset.of([0], 2))) == (0, 1)
-    assert members(downward_closure(sl2, Subset.of([1], 2))) == (1,)
+    assert downward_closure(sl2, {0}) == {0, 1}
+    assert downward_closure(sl2, {1}) == {1}
 
 
 def test_closure_of_empty_is_empty(valid_fixtures):
     for s in valid_fixtures.values():
-        assert not downward_closure(s, Subset.empty(s.order))
+        assert not downward_closure(s, set())
 
 
 @st.composite
 def corpus_subsets(draw, corpus):
     s = draw(st.sampled_from(corpus))
     bits = draw(st.integers(0, (1 << s.order) - 1))
-    return s, Subset(bits, s.order)
+    return s, bits_subset(s, bits)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ def test_closure_laws(corpus_upto3_iso):
     def run(case):
         s, x = case
         closed = downward_closure(s, x)
-        assert x.issubset(closed)
+        assert x <= closed
         assert downward_closure(s, closed) == closed
 
     run()
@@ -84,8 +86,8 @@ def test_closure_monotone(corpus_upto3_iso):
     @given(corpus_subsets(corpus_upto3_iso), st.integers(0, 511))
     def run(case, extra_bits):
         s, x = case
-        bigger = Subset(x.bits | (extra_bits & ((1 << s.order) - 1)), s.order)
-        assert downward_closure(s, x).issubset(downward_closure(s, bigger))
+        bigger = x | bits_subset(s, extra_bits)
+        assert downward_closure(s, x) <= downward_closure(s, bigger)
 
     run()
 
@@ -95,26 +97,24 @@ def test_closure_monotone(corpus_upto3_iso):
 
 
 def test_product_examples(sl2, lz2):
-    assert members(subset_product(sl2, Subset.of([0], 2), Subset.full(2))) == (0, 1)
-    assert members(subset_product(lz2, Subset.of([0], 2), Subset.of([1], 2))) == (0,)
+    assert subset_product(sl2, {0}, full(sl2)) == {0, 1}
+    assert subset_product(lz2, {0}, {1}) == {0}
 
 
 def test_product_with_empty(valid_fixtures):
     for s in valid_fixtures.values():
-        full = Subset.full(s.order)
-        assert not subset_product(s, Subset.empty(s.order), full)
-        assert not subset_product(s, full, Subset.empty(s.order))
+        assert not subset_product(s, set(), full(s))
+        assert not subset_product(s, full(s), set())
 
 
 def test_product_monotone(corpus_upto3_iso):
     @given(corpus_subsets(corpus_upto3_iso), st.integers(0, 511), st.integers(0, 511))
     def run(case, ybits, extra):
         s, x = case
-        mask = (1 << s.order) - 1
-        y = Subset(ybits & mask, s.order)
-        x_big = Subset(x.bits | (extra & mask), s.order)
-        assert subset_product(s, x, y).issubset(subset_product(s, x_big, y))
-        assert subset_product(s, y, x).issubset(subset_product(s, y, x_big))
+        y = bits_subset(s, ybits)
+        x_big = x | bits_subset(s, extra)
+        assert subset_product(s, x, y) <= subset_product(s, x_big, y)
+        assert subset_product(s, y, x) <= subset_product(s, y, x_big)
 
     run()
 
@@ -124,9 +124,9 @@ def test_product_monotone(corpus_upto3_iso):
 
 
 def test_principal_ideal_examples(sl2, lz2, t1):
-    assert members(principal_ideal(sl2, 0, "left")) == (0, 1)
-    assert members(principal_ideal(lz2, 0, "right")) == (0,)
-    assert members(principal_ideal(t1, 0, "two_sided")) == (0,)
+    assert principal_ideal(sl2, 0, "left") == {0, 1}
+    assert principal_ideal(lz2, 0, "right") == {0}
+    assert principal_ideal(t1, 0, "two_sided") == {0}
 
 
 def test_principal_ideal_rejects_bad_side(sl2):
@@ -144,15 +144,13 @@ def test_principal_ideals_are_ideals(corpus_upto3_iso):
 def test_regular_element_left_ideal_is_closed_translate(corpus_upto3_iso):
     # for a with a <= a*x*a for some x, ({a} u Sa] equals (Sa]
     for s in corpus_upto3_iso:
-        full = Subset.full(s.order)
         for a in range(s.order):
             regular = a in downward_closure(
-                s, subset_product(s, subset_product(s, Subset.of([a], s.order), full),
-                                  Subset.of([a], s.order))
+                s, subset_product(s, subset_product(s, {a}, full(s)), {a})
             )
             if not regular:
                 continue
-            sa = downward_closure(s, subset_product(s, full, Subset.of([a], s.order)))
+            sa = downward_closure(s, subset_product(s, full(s), {a}))
             assert principal_ideal(s, a, "left") == sa
 
 
@@ -161,8 +159,8 @@ def test_regular_element_left_ideal_is_closed_translate(corpus_upto3_iso):
 
 
 def test_is_ideal_examples(sl2):
-    assert is_ideal(sl2, Subset.of([1], 2), "two_sided").ok
-    verdict = is_ideal(sl2, Subset.of([0], 2), "left")
+    assert is_ideal(sl2, {1}, "two_sided").ok
+    verdict = is_ideal(sl2, {0}, "left")
     assert not verdict.ok
     assert verdict.reason == "left_absorption"
     assert verdict.pair == (1, 0)  # f*e = f escapes {e}
@@ -171,24 +169,24 @@ def test_is_ideal_examples(sl2):
 def test_is_ideal_full_carrier(valid_fixtures):
     for s in valid_fixtures.values():
         for side in ("left", "right", "two_sided"):
-            assert is_ideal(s, Subset.full(s.order), side).ok
+            assert is_ideal(s, full(s), side).ok
 
 
 def test_is_ideal_closure_witness(sl2):
     # {e} absorbs nothing on the right but also fails downward closure
-    verdict = is_ideal(sl2, Subset.of([0], 2), "right")
+    verdict = is_ideal(sl2, {0}, "right")
     assert not verdict.ok
 
 
 def test_is_ideal_rejects_empty(sl2):
     with pytest.raises(ValueError):
-        is_ideal(sl2, Subset.empty(2), "left")
+        is_ideal(sl2, set(), "left")
 
 
 def test_is_ideal_witness_reverifies(corpus_upto3_iso):
     for s in corpus_upto3_iso[:40]:
         for bits in range(1, 1 << s.order):
-            candidate = Subset(bits, s.order)
+            candidate = bits_subset(s, bits)
             verdict = is_ideal(s, candidate, "two_sided")
             if verdict.ok:
                 continue
@@ -205,7 +203,7 @@ def test_is_simple_examples(lz2, t1):
     assert is_simple(lz2, "left").ok
     verdict = is_simple(lz2, "right")
     assert not verdict.ok
-    assert verdict.witness.members() == (0,)
+    assert verdict.witness == {0}
     for side in ("left", "right", "two_sided"):
         assert is_simple(t1, side).ok
 
@@ -217,7 +215,7 @@ def test_simple_witness_is_minimal(corpus_upto3_iso):
             continue
         size = len(verdict.witness)
         for bits in range(1, 1 << s.order):
-            candidate = Subset(bits, s.order)
+            candidate = bits_subset(s, bits)
             if len(candidate) < size and len(candidate) < s.order:
                 assert not is_ideal(s, candidate, "two_sided").ok
 

@@ -1,6 +1,6 @@
 import functools
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,6 @@ from osgkit.enumeration import (
     enumerate_partial_orders,
 )
 from osgkit.structure import canonical_form, from_flat, from_table, relabel, validate
-from osgkit.subsets import Subset
 from osgkit.theorems import (
     CONDITIONS,
     THEOREMS,
@@ -200,26 +199,37 @@ def test_sweep_canonicalises_each_structure_once(monkeypatch, n2, sl2, lz2):
 def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
     # B.2 reads sigma: no catalog condition scans a candidate congruence
     # or lists the Bell(n) partitions of the carrier.  The conditions read
-    # one fact record per structure, of int masks, and build no Subset.
+    # one fact record per structure, and each is decided once per record,
+    # however many groupings name it (T35.1 is in four).
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
     assert len(corpus) == 173
     built = []
+    runs = {cid: 0 for cid in CONDITIONS}
 
     def forbidden(*args):
-        raise AssertionError("the sweep searched partitions or built a Subset")
+        raise AssertionError("the sweep searched partitions")
 
     def counted(s):
         built.append(s)
         return facts(s)
 
+    def counted_condition(cid, fn):
+        def run(f):
+            runs[cid] += 1
+            return fn(f)
+        return run
+
     with monkeypatch.context() as patched:
         patched.setattr(relations, "is_congruence", forbidden)
         patched.setattr(oracles, "all_partitions", forbidden)
-        patched.setattr(Subset, "__post_init__", forbidden)
         patched.setattr(theorems, "facts", counted)
+        for cid, condition in CONDITIONS.items():
+            patched.setitem(CONDITIONS, cid, replace(
+                condition, fn=counted_condition(cid, condition.fn)))
         report = sweep(corpus)
     assert report == sweep(corpus)
     assert len(built) == 173  # one record per class, none per grouping
+    assert runs == {cid: 173 for cid in CONDITIONS}
 
 
 def test_sweep_fixture_pair(sl2, lz2):
@@ -419,28 +429,12 @@ def test_sweep_equals_checking_every_copy(corpus_upto3_labelled):
 # "inverse" against "inverse and completely regular"
 
 
-def _brandt_b2():
-    # 0 is the zero and 1, 2, 3, 4 are e11, e12, e21, e22, where
-    # e_ij * e_kl = e_il when j == k and 0 otherwise
-    units = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
-    index = {ij: x for x, ij in units.items()}
-
-    def mul(a, b):
-        if not a or not b:
-            return 0
-        (i, j), (k, l) = units[a], units[b]
-        return index[i, l] if j == k else 0
-
-    return from_table([[mul(a, b) for b in range(5)] for a in range(5)])
-
-
 B2_FAILURES = {
     "B.1": (2,), "B.2": None, "B.3": (2, 3), "B.4": (1, 2), "B.5": (1, 4), "B.6": (1, 2),
 }
 
 
-def test_brandt_b2_separates_inverse_from_completely_regular():
-    b2 = _brandt_b2()
+def test_brandt_b2_separates_inverse_from_completely_regular(b2):
     assert validate(b2).valid
     verdicts = {cid: evaluate_condition(b2, cid) for cid in condition_ids()}
     assert all(v.hypothesis_met for v in verdicts.values())

@@ -48,7 +48,7 @@ class Facts:
     idem_mask are the ordered idempotents.  not_regular and
     not_completely_regular are the least element outside (aSa], resp.
     (a2Sa2], or None.  Green's relations and sigma are computed on first
-    read: the records that B.2 builds for sigma's classes need neither.
+    read, so the deciders that need neither do not pay for them.
     """
 
     s: OrderedSemigroup
@@ -92,15 +92,28 @@ class Facts:
                 prop, False, (self.not_regular,),
                 notes="not applicable: structure is not regular", applicable=False,
             )
-        up, row, col = self.up, self.row, self.col
+        witness = self.not_group_like(range(self.n), kind)
+        return PropertyReport(prop, witness is None, witness)
+
+    def not_group_like(self, members, kind: str = "two_sided"):
+        """The least (a, b) over the members C with a outside (Cb] (kinds
+        two_sided and left) or b outside (aC] (two_sided and right),
+        products taken in S, or None.
+
+        On a subsemigroup C under the induced order, None for two_sided
+        says C is group-like with no regularity check first: a <= ac' for
+        some c' in C (take b = a) and c' <= da for some d in C, so
+        a <= ada by compatibility, and C is regular.
+        """
+        mult, up = self.mult, self.up
         left, right = kind in ("two_sided", "left"), kind in ("two_sided", "right")
-        for a in range(self.n):
-            for b in range(self.n):
-                if left and not col[b] & up[a]:
-                    return PropertyReport(prop, False, (a, b))
-                if right and not row[a] & up[b]:
-                    return PropertyReport(prop, False, (a, b))
-        return PropertyReport(prop, True)
+        col = {b: bit_mask([mult[c][b] for c in members]) for b in members}
+        row = {a: bit_mask([mult[a][c] for c in members]) for a in members}
+        return next(
+            ((a, b) for a in members for b in members
+             if left and not col[b] & up[a] or right and not row[a] & up[b]),
+            None,
+        )
 
     def h_commutes(self, a: int, b: int) -> bool:
         mult, up, pxq = self.mult, self.up, self.pxq

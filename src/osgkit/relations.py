@@ -1,5 +1,7 @@
 """Partitions of the carrier, Green's relations, the congruence checker,
-and sigma, the least complete semilattice congruence.
+and sigma, the least complete semilattice congruence, computed as
+Kehayopulu's filter relation N (N. Kehayopulu, "Remark on ordered
+semigroups", Math. Japonica 35, 1990).
 
 Nothing here searches over partitions: catalog condition B.2 is decided
 by sigma alone (see ``osgkit.theorems._group_like_decomposition``), and
@@ -162,55 +164,39 @@ def is_congruence(s: OrderedSemigroup, p: Partition, kind: str) -> CongruenceVer
     return CongruenceVerdict(True)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-
 @lru_cache(maxsize=65536)
 def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
-    """Smallest congruence containing a=a*a, a*b=b*a, and a=a*b for a <= b.
+    """Kehayopulu's relation N: x N y when the least filters containing x
+    and y are equal (N. Kehayopulu, "Remark on ordered semigroups", Math.
+    Japonica 35, 1990, where N is shown to be the least complete
+    semilattice congruence, the least congruence with a = a*a, a*b = b*a,
+    and a = a*b for a <= b).
 
-    Seeds are merged with union-find, then the relation is saturated
-    under left and right translation until a fixed point; termination is
-    immediate on a finite carrier since merges only decrease class count.
+    A filter is a subsemigroup F such that a*b in F puts a and b in F,
+    and a in F, a <= b puts b in F.  The least filter containing x grows
+    from {x}: each element v that joins brings in the elements above it,
+    up[v], its factors, factors[v] (every a and b with a*b = v), and its
+    products with the members so far, until nothing new joins.
     """
-    n, mult = s.order, s.mult
-    uf = _UnionFind(n)
-    for a in range(n):
-        uf.union(a, mult[a][a])
-        for b in range(n):
-            uf.union(mult[a][b], mult[b][a])
-            if s.leq[a][b]:
-                uf.union(a, mult[a][b])
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if uf.find(a) != uf.find(b):
-                    continue
-                for c in range(n):
-                    if uf.union(mult[c][a], mult[c][b]):
-                        changed = True
-                    if uf.union(mult[a][c], mult[b][c]):
-                        changed = True
-
-    return Partition.from_labels([uf.find(i) for i in range(n)])
+    n, mult, leq = s.order, s.mult, s.leq
+    up, factors = [0] * n, [0] * n
+    for a, row in enumerate(mult):
+        for b, ab in enumerate(row):
+            factors[ab] |= 1 << a | 1 << b
+            if leq[a][b]:
+                up[a] |= 1 << b
+    filters = []
+    for x in range(n):
+        f, members, todo = 0, [], [x]
+        while todo:
+            v = todo.pop()
+            if f >> v & 1:
+                continue
+            f |= 1 << v
+            members.append(v)
+            grown = up[v] | factors[v]
+            for m in members:
+                grown |= 1 << mult[v][m] | 1 << mult[m][v]
+            todo += [w for w in range(n) if grown >> w & 1 and not f >> w & 1]
+        filters.append(f)
+    return Partition.from_labels(filters)

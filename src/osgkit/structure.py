@@ -258,72 +258,27 @@ def validate(s: OrderedSemigroup) -> ValidationReport:
     (i, j) for antisymmetry, and (a, b, x) for compatibility where a <= b
     but the products of x with a and b are not ordered.  Works at any order.
     """
-    n, mult, leq = s.order, s.mult, s.leq
-    rng = range(n)
-    failures = []
-
-    witness = next(
-        ((i, j, k) for i, row in enumerate(mult) for j, ij in enumerate(row)
-         for k in rng if mult[ij][k] != row[mult[j][k]]),
-        None,
+    mult, leq = s.mult, s.leq
+    rng = range(s.order)
+    order_pairs = [(a, b) for a in rng for b in rng if leq[a][b]]
+    scans = (
+        ("associativity", ((i, j, k) for i, row in enumerate(mult)
+                           for j, ij in enumerate(row) for k in rng
+                           if mult[ij][k] != row[mult[j][k]])),
+        ("reflexivity", ((i,) for i in rng if not leq[i][i])),
+        ("antisymmetry", ((i, j) for i, j in order_pairs if i != j and leq[j][i])),
+        ("transitivity", ((i, j, k) for i, j in order_pairs for k in rng
+                          if leq[j][k] and not leq[i][k])),
+        ("left_compatibility", ((a, b, x) for a, b in order_pairs for x in rng
+                                if not leq[mult[x][a]][mult[x][b]])),
+        ("right_compatibility", ((a, b, x) for a, b in order_pairs for x in rng
+                                 if not leq[mult[a][x]][mult[b][x]])),
     )
-    if witness:
-        failures.append(AxiomFailure("associativity", witness))
-
-    for i in rng:
-        if not leq[i][i]:
-            failures.append(AxiomFailure("reflexivity", (i,)))
-            break
-
-    witness = None
-    for i in rng:
-        for j in rng:
-            if i != j and leq[i][j] and leq[j][i]:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    if witness:
-        failures.append(AxiomFailure("antisymmetry", witness))
-
-    witness = None
-    for i in rng:
-        for j in rng:
-            if not leq[i][j]:
-                continue
-            for k in rng:
-                if leq[j][k] and not leq[i][k]:
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness:
-        failures.append(AxiomFailure("transitivity", witness))
-
-    for side, kind in ((0, "left_compatibility"), (1, "right_compatibility")):
-        witness = None
-        for a in rng:
-            for b in rng:
-                if not leq[a][b]:
-                    continue
-                for x in rng:
-                    if side == 0:
-                        ok = leq[mult[x][a]][mult[x][b]]
-                    else:
-                        ok = leq[mult[a][x]][mult[b][x]]
-                    if not ok:
-                        witness = (a, b, x)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            failures.append(AxiomFailure(kind, witness))
-
-    return ValidationReport(not failures, tuple(failures))
+    failures = tuple(
+        AxiomFailure(axiom, witness) for axiom, scan in scans
+        if (witness := next(scan, None)) is not None
+    )
+    return ValidationReport(not failures, failures)
 
 
 def is_valid(s: OrderedSemigroup) -> bool:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
 
-from osgkit.properties import Facts, facts, is_group_like
-from osgkit.structure import OrderedSemigroup, canonical_form, is_valid, substructure
+from osgkit.properties import Facts, facts
+from osgkit.structure import OrderedSemigroup, canonical_form, is_valid
 from osgkit.subsets import union_of
 
 REGULAR = "regular"
@@ -185,7 +185,8 @@ def _inverse_and_completely_regular(f: Facts) -> Verdict:
 def _group_like_decomposition(f: Facts) -> Verdict:
     """S is a complete semilattice of group-like ordered semigroups exactly
     when every class of sigma, the least complete semilattice congruence,
-    is group-like; the witness is sigma's classes.
+    is group-like; the witness is sigma's classes.  Each class, a
+    subsemigroup, is tested on S's own record (``Facts.not_group_like``).
 
     Proof.  Let rho be a complete semilattice congruence whose classes are
     all group-like.  sigma is contained in rho, because sigma is the least.
@@ -199,7 +200,7 @@ def _group_like_decomposition(f: Facts) -> Verdict:
     the paper's main theorem is unique when it exists.
     """
     sigma = f.sigma
-    if all(is_group_like(substructure(f.s, c)).holds for c in sigma.classes):
+    if all(f.not_group_like(c) is None for c in sigma.classes):
         return True, sigma.classes
     return False, None
 

@@ -235,8 +235,9 @@ def test_group_like_decomposition_is_the_least_congruence(backend, orders, expec
     rho whose classes are all group-like is sigma, the least complete
     semilattice congruence (the proof is the docstring of
     ``osgkit.theorems._group_like_decomposition``).  Checked against every
-    partition of every class: B.2 holds exactly when every class of sigma
-    is group-like, its witness is sigma, and no other complete semilattice
+    partition of every class: sigma is a complete semilattice congruence
+    refining every other, B.2 holds exactly when every class of sigma is
+    group-like, its witness is sigma, and no other complete semilattice
     congruence has all classes group-like.
     """
     group_like = resolve_predicate("group_like")
@@ -250,12 +251,12 @@ def test_group_like_decomposition_is_the_least_congruence(backend, orders, expec
         for s in enumerate_ordered_semigroups(opts):
             classes += 1
             sigma = least_complete_semilattice_congruence(s)
+            congruences = complete_semilattice_congruences(s)
+            assert sigma in congruences
+            assert all(sigma.refines(p) for p in congruences)
             verdict = evaluate_condition(s, "B.2")
             assert verdict.holds == all_group_like(s, sigma)
             if verdict.holds:
                 assert verdict.witness == sigma.classes
-            assert all(
-                p == sigma for p in complete_semilattice_congruences(s)
-                if all_group_like(s, p)
-            )
+            assert all(p == sigma for p in congruences if all_group_like(s, p))
     assert classes == expected

@@ -20,7 +20,7 @@ from osgkit.properties import (
     regularity,
 )
 from osgkit.relations import greens_relations
-from osgkit import kernel, oracles, relations, theorems
+from osgkit import kernel, oracles, properties, relations, theorems
 from osgkit.enumeration import (
     EnumerationOptions,
     enumerate_ordered_semigroups,
@@ -200,7 +200,9 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
     # B.2 reads sigma: no catalog condition scans a candidate congruence
     # or lists the Bell(n) partitions of the carrier.  The conditions read
     # one fact record per structure, and each is decided once per record,
-    # however many groupings name it (T35.1 is in four).
+    # however many groupings name it (T35.1 is in four).  Records built
+    # inside osgkit.properties count too: B.2 tests sigma's classes on the
+    # structure's own record, not on a record of each class.
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
     assert len(corpus) == 173
     built = []
@@ -223,6 +225,7 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
         patched.setattr(relations, "is_congruence", forbidden)
         patched.setattr(oracles, "all_partitions", forbidden)
         patched.setattr(theorems, "facts", counted)
+        patched.setattr(properties, "facts", counted)
         for cid, condition in CONDITIONS.items():
             patched.setitem(CONDITIONS, cid, replace(
                 condition, fn=counted_condition(cid, condition.fn)))

@@ -15,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from osgkit.relations import (
-    GreensRelations,
-    Partition,
-    greens_relations,
-    least_complete_semilattice_congruence,
-)
+from osgkit.relations import GreensRelations, Partition, filter_relation, greens_from_ideals
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import bit_mask, table_masks
+from osgkit.subsets import bit_mask, ideal_masks, table_masks
 
 REGULARITY_KINDS = ("regular", "completely_regular", "right_regular", "left_regular")
 GROUP_LIKE_KINDS = ("two_sided", "left", "right")
@@ -47,8 +42,8 @@ class Facts:
     lists the inverses of a ascending, inv_mask[a] as a mask; idem and
     idem_mask are the ordered idempotents.  not_regular and
     not_completely_regular are the least element outside (aSa], resp.
-    (a2Sa2], or None.  Green's relations and sigma are computed on first
-    read, so the deciders that need neither do not pay for them.
+    (a2Sa2], or None.  Green's relations and sigma are built from these
+    masks on first read, so the deciders that need neither skip them.
     """
 
     s: OrderedSemigroup
@@ -68,11 +63,11 @@ class Facts:
 
     @cached_property
     def greens(self) -> GreensRelations:
-        return greens_relations(self.s)
+        return greens_from_ideals(*ideal_masks(self.down, self.row, self.col))
 
     @cached_property
     def sigma(self) -> Partition:
-        return least_complete_semilattice_congruence(self.s)
+        return filter_relation(self.mult, self.up)
 
     def regularity(self, kind: str) -> PropertyReport:
         if kind == "regular":

@@ -1,12 +1,13 @@
 """Partitions of the carrier, Green's relations, the congruence checker,
 and sigma, the least complete semilattice congruence, computed as
 Kehayopulu's filter relation N (N. Kehayopulu, "Remark on ordered
-semigroups", Math. Japonica 35, 1990).
+semigroups", Math. Japonica 35, 1990).  Green's relations and sigma are
+each built by one function over mask tables, which the fact record of
+:mod:`osgkit.properties` calls on its own masks.
 
-Nothing here searches over partitions: catalog condition B.2 is decided
-by sigma alone (see ``osgkit.theorems._group_like_decomposition``), and
-the exhaustive partition search it replaces is the reference in
-:mod:`osgkit.oracles`.
+Nothing here searches over partitions: B.2 is decided by sigma alone
+(``osgkit.theorems._group_like_decomposition``); the partition search
+it replaces is the reference in :mod:`osgkit.oracles`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import ideal_masks
+from osgkit.subsets import ideal_masks, table_masks
 
 CONGRUENCE_KINDS = ("left", "right", "two_sided", "semilattice", "complete_semilattice")
 
@@ -103,15 +104,18 @@ class GreensRelations(NamedTuple):
     H: Partition
 
 
-@lru_cache(maxsize=65536)
-def greens_relations(s: OrderedSemigroup) -> GreensRelations:
-    """L, R, J from equality of principal ideals; H refines L and R."""
-    left, right, two = ideal_masks(s)
+def greens_from_ideals(left, right, two) -> GreensRelations:
+    """L, R, J from equality of the principal ideals of ``ideal_masks``; H refines L and R."""
     l_part = Partition.from_labels(left)
     r_part = Partition.from_labels(right)
     j_part = Partition.from_labels(two)
     h_part = Partition.from_labels(list(zip(left, right)))
     return GreensRelations(l_part, r_part, j_part, h_part)
+
+
+@lru_cache(maxsize=65536)
+def greens_relations(s: OrderedSemigroup) -> GreensRelations:
+    return greens_from_ideals(*ideal_masks(*table_masks(s)[1:]))
 
 
 class CongruenceVerdict(NamedTuple):
@@ -164,8 +168,7 @@ def is_congruence(s: OrderedSemigroup, p: Partition, kind: str) -> CongruenceVer
     return CongruenceVerdict(True)
 
 
-@lru_cache(maxsize=65536)
-def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
+def filter_relation(mult, up) -> Partition:
     """Kehayopulu's relation N: x N y when the least filters containing x
     and y are equal (N. Kehayopulu, "Remark on ordered semigroups", Math.
     Japonica 35, 1990, where N is shown to be the least complete
@@ -178,13 +181,11 @@ def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
     up[v], its factors, factors[v] (every a and b with a*b = v), and its
     products with the members so far, until nothing new joins.
     """
-    n, mult, leq = s.order, s.mult, s.leq
-    up, factors = [0] * n, [0] * n
+    n = len(mult)
+    factors = [0] * n
     for a, row in enumerate(mult):
         for b, ab in enumerate(row):
             factors[ab] |= 1 << a | 1 << b
-            if leq[a][b]:
-                up[a] |= 1 << b
     filters = []
     for x in range(n):
         f, members, todo = 0, [], [x]
@@ -200,3 +201,8 @@ def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
             todo += [w for w in range(n) if grown >> w & 1 and not f >> w & 1]
         filters.append(f)
     return Partition.from_labels(filters)
+
+
+@lru_cache(maxsize=65536)
+def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
+    return filter_relation(s.mult, table_masks(s)[0])

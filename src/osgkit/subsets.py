@@ -2,9 +2,10 @@
 and the ideal/simplicity predicates.
 
 Subsets of the carrier are bit masks, as plain ints in the tables that
-Green's relations and the fact record of :mod:`osgkit.properties` are
-built from.  The public functions take any iterable of carrier indices,
-reject members outside the carrier with ``ValueError``, and return
+:func:`table_masks` and :func:`ideal_masks`, and no other function, build
+for Green's relations and the fact record of :mod:`osgkit.properties`.
+The public functions take any iterable of carrier indices, reject
+members outside the carrier with ``ValueError``, and return
 ``frozenset[int]``; all functions are pure.
 """
 
@@ -67,11 +68,11 @@ def table_masks(s: OrderedSemigroup):
     return tuple(up), tuple(down), tuple(row), tuple(col)
 
 
-def ideal_masks(s: OrderedSemigroup):
+def ideal_masks(down, row, col):
     """(left, right, two_sided): the principal ideals of each element, the
-    downward closures of a + Sa, a + aS and a + Sa + aS + S(aS)."""
-    _, down, row, col = table_masks(s)
-    span = range(s.order)
+    downward closures of a + Sa, a + aS and a + Sa + aS + S(aS), from the
+    down, row and col masks of :func:`table_masks`."""
+    span = range(len(down))
     return (
         [union_of(down, 1 << a | col[a]) for a in span],
         [union_of(down, 1 << a | row[a]) for a in span],
@@ -94,7 +95,7 @@ def principal_ideal(s: OrderedSemigroup, a: int, side: str) -> frozenset[int]:
     """Downward-closed principal ideal of a; the identity adjunction is
     realised by uniting {a} with the translate sets before closing."""
     _check_side(side)
-    return _members(ideal_masks(s)[SIDES.index(side)][a])
+    return _members(ideal_masks(*table_masks(s)[1:])[SIDES.index(side)][a])
 
 
 class IdealVerdict(NamedTuple):
@@ -143,14 +144,14 @@ class SimplicityVerdict(NamedTuple):
 def is_simple(s: OrderedSemigroup, side: str) -> SimplicityVerdict:
     """No proper nonempty ideal of the given side exists.
 
-    Candidates are enumerated smallest-cardinality first, so a failing
-    verdict carries a minimal proper ideal.
+    A failing verdict carries the least proper ideal by (size, mask), the
+    least proper principal ideal: on a valid structure, as ``analyze``
+    checks first, each member a of a least proper ideal I generates an
+    ideal (a) inside I, so (a) has I's size and is I.
     """
     _check_side(side)
-    n = s.order
-    masks = sorted(range(1, (1 << n) - 1), key=lambda m: (bin(m).count("1"), m))
-    for mask in masks:
-        candidate = _members(mask)
-        if is_ideal(s, candidate, side).ok:
-            return SimplicityVerdict(False, candidate)
-    return SimplicityVerdict(True)
+    full = (1 << s.order) - 1
+    proper = [m for m in ideal_masks(*table_masks(s)[1:])[SIDES.index(side)] if m != full]
+    if not proper:
+        return SimplicityVerdict(True)
+    return SimplicityVerdict(False, _members(min(proper, key=lambda m: (bin(m).count("1"), m))))

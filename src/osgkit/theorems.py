@@ -283,7 +283,7 @@ _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
 _register("TESF", "inverses of members of (eSf] lie in (fSe]",
           None, _sandwich_inverses)
 _register("C.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, lambda f: _report_verdict(f.inverse()))
+          REGULAR, CONDITIONS["T35.1"].fn)  # T35.1's function, called once for both
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
           REGULAR, lambda f: _inverse_pair_products_commute(f, range(f.n)))
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
@@ -360,17 +360,19 @@ def _ambient_met(f: Facts, ambient: str | None) -> bool:
 
 def evaluate_condition(s: OrderedSemigroup, condition_id: str) -> ConditionVerdict:
     """Decide one catalog condition on a valid structure."""
-    return _condition_verdict(facts(s), condition_id)
+    return _condition_verdict(facts(s), condition_id, {})
 
 
-def _condition_verdict(f: Facts, condition_id: str) -> ConditionVerdict:
+def _condition_verdict(f: Facts, condition_id: str, outcomes: dict) -> ConditionVerdict:
     try:
         condition = CONDITIONS[condition_id]
     except KeyError:
         raise KeyError(
             f"unknown condition {condition_id!r}; known: {list(CONDITIONS)}"
         ) from None
-    holds, witness = condition.fn(f)
+    if condition.fn not in outcomes:  # ids that share a function share its call
+        outcomes[condition.fn] = condition.fn(f)
+    holds, witness = outcomes[condition.fn]
     return ConditionVerdict(
         condition_id, holds, witness, _ambient_met(f, condition.ambient)
     )
@@ -415,11 +417,12 @@ def _theorem(theorem_id: str) -> Theorem:
 
 def _reports(f: Facts, structure: str, theorem_ids) -> list[TheoremReport]:
     """One report per grouping, in order, on the structure whose fact
-    record is f and whose canonical form is structure; each condition the
-    groupings name is decided once."""
+    record is f and whose canonical form is structure; each condition
+    function the groupings name is called once, however many ids share it."""
     theorems = [_theorem(tid) for tid in theorem_ids]
     needed = dict.fromkeys(cid for t in theorems for item in t.items for cid in item)
-    decided = {cid: _condition_verdict(f, cid) for cid in needed}
+    outcomes = {}
+    decided = {cid: _condition_verdict(f, cid, outcomes) for cid in needed}
     reports = []
     for theorem in theorems:
         vector = tuple(_item_verdict(decided, item) for item in theorem.items)

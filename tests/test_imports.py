@@ -1,5 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and every private name that a module defines is read in the package.
+every private name that a module defines is read in the package, and the
+package's caches are exactly the known ones.
 
 No linter ships with the test extras, so these are the checks that catch
 an import, or a private helper, left behind when the code that read it
@@ -88,3 +89,64 @@ def test_no_unused_private_names():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+CACHE_DECORATORS = ("lru_cache", "cache", "cached_property")
+
+
+def cached_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, qualified name) of each function of the given modules,
+    {module: source}, decorated with one of CACHE_DECORATORS, called or
+    not, bare or as an attribute of ``functools``."""
+    found = []
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in child.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in CACHE_DECORATORS:
+                        found.append((module, prefix + child.name))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, f"{prefix}{child.name}.")
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "")
+    return sorted(found)
+
+
+def test_cached_functions_are_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@lru_cache(maxsize=8)\ndef a(x):\n    return x\n"
+        "@functools.cache\ndef b(x):\n    return x\n"
+        "class C:\n"
+        "    @cached_property\n    def c(self):\n        return 1\n"
+        "    @property\n    def d(self):\n        return 2\n"
+        "    class Inner:\n"
+        "        @functools.lru_cache\n        def e(self):\n            return 3\n"
+        "def f(x):\n    @cache\n    def g(y):\n        return y\n    return g\n"
+        "@staticmethod\ndef h():\n    pass\n"
+    )
+    assert cached_functions({"a.py": source}) == [
+        ("a.py", "C.Inner.e"), ("a.py", "C.c"), ("a.py", "a"), ("a.py", "b"), ("a.py", "f.g"),
+    ]
+
+
+def test_no_new_caches():
+    # the five structure-keyed caches whose hit ratios the benchmark reads,
+    # and the fact record's lazily built Green's relations and sigma; a
+    # sixth cache fails here, and the list shrinks as the five go
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert cached_functions(sources) == [
+        ("properties.py", "Facts.greens"),
+        ("properties.py", "Facts.sigma"),
+        ("properties.py", "inverses_of"),
+        ("properties.py", "is_inverse_ordered"),
+        ("properties.py", "regularity"),
+        ("relations.py", "greens_relations"),
+        ("relations.py", "least_complete_semilattice_congruence"),
+    ]

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from osgkit.enumeration import EnumerationOptions, enumerate_ordered_semigroups
 from osgkit.properties import inverses_of
 from osgkit.subsets import (
+    SIDES,
     downward_closure,
     is_ideal,
     is_simple,
@@ -208,16 +210,37 @@ def test_is_simple_examples(lz2, t1):
         assert is_simple(t1, side).ok
 
 
-def test_simple_witness_is_minimal(corpus_upto3_iso):
-    for s in corpus_upto3_iso[:40]:
-        verdict = is_simple(s, "two_sided")
-        if verdict.ok:
-            continue
-        size = len(verdict.witness)
-        for bits in range(1, 1 << s.order):
-            candidate = bits_subset(s, bits)
-            if len(candidate) < size and len(candidate) < s.order:
-                assert not is_ideal(s, candidate, "two_sided").ok
+def least_ideal(s, side, candidates):
+    """The reference witness: the first of candidates, every proper
+    nonempty subset as a mask ordered by (size, mask), that is_ideal
+    accepts, or None."""
+    for bits in candidates:
+        subset = bits_subset(s, bits)
+        if is_ideal(s, subset, side).ok:
+            return subset
+    return None
+
+
+def check_simple_witnesses(orders):
+    for n in orders:
+        candidates = sorted(range(1, (1 << n) - 1), key=lambda m: (bin(m).count("1"), m))
+        options = EnumerationOptions(n, mode="up_to_iso", order_limit=n)
+        for s in enumerate_ordered_semigroups(options):
+            for side in SIDES:
+                verdict = is_simple(s, side)
+                assert verdict.witness == least_ideal(s, side, candidates)
+                assert verdict.ok == (verdict.witness is None)
+
+
+def test_simple_witness_is_minimal():
+    # is_simple reads the principal ideals only; its witness is the least
+    # (size, mask) ideal of the scan over all subsets, on every class
+    check_simple_witnesses((1, 2, 3, 4))
+
+
+@pytest.mark.slow
+def test_simple_witness_is_minimal_order_5():
+    check_simple_witnesses((5,))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from osgkit.properties import (
     regularity,
 )
 from osgkit.relations import greens_relations
-from osgkit import kernel, oracles, properties, relations, theorems
+from osgkit import kernel, oracles, properties, relations, subsets, theorems
 from osgkit.enumeration import (
     EnumerationOptions,
     enumerate_ordered_semigroups,
@@ -202,10 +202,12 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
     # one fact record per structure, and each is decided once per record,
     # however many groupings name it (T35.1 is in four).  Records built
     # inside osgkit.properties count too: B.2 tests sigma's classes on the
-    # structure's own record, not on a record of each class.
+    # structure's own record, not on a record of each class.  The record
+    # builds its masks once, and Green's relations and sigma come from
+    # them: no mask table is rebuilt and no structure-keyed cache filled.
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
     assert len(corpus) == 173
-    built = []
+    built, masked = [], []
     runs = {cid: 0 for cid in CONDITIONS}
 
     def forbidden(*args):
@@ -215,24 +217,59 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
         built.append(s)
         return facts(s)
 
+    def counted_masks(s, table_masks=subsets.table_masks):
+        masked.append(s)
+        return table_masks(s)
+
     def counted_condition(cid, fn):
         def run(f):
             runs[cid] += 1
             return fn(f)
         return run
 
+    greens_relations.cache_clear()
+    relations.least_complete_semilattice_congruence.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(relations, "is_congruence", forbidden)
         patched.setattr(oracles, "all_partitions", forbidden)
         patched.setattr(theorems, "facts", counted)
         patched.setattr(properties, "facts", counted)
+        for module in (properties, relations, subsets):
+            patched.setattr(module, "table_masks", counted_masks)
         for cid, condition in CONDITIONS.items():
             patched.setitem(CONDITIONS, cid, replace(
                 condition, fn=counted_condition(cid, condition.fn)))
         report = sweep(corpus)
+    assert greens_relations.cache_info().currsize == 0
+    assert relations.least_complete_semilattice_congruence.cache_info().currsize == 0
     assert report == sweep(corpus)
     assert len(built) == 173  # one record per class, none per grouping
+    assert len(masked) == 173  # one set of mask tables per record
     assert runs == {cid: 173 for cid in CONDITIONS}
+
+
+def test_c1_is_t35_1_decided_once(monkeypatch, corpus_upto3_iso):
+    # C.1 is registered with T35.1's function, and a record calls each
+    # distinct function once, so one shared wrapper runs once per class
+    # while both ids keep their own verdicts
+    corpus = [s for s in corpus_upto3_iso if s.order == 3]
+    assert CONDITIONS["C.1"].fn is CONDITIONS["T35.1"].fn
+    calls = []
+
+    def shared(f, fn=CONDITIONS["T35.1"].fn):
+        calls.append(f)
+        return fn(f)
+
+    with monkeypatch.context() as patched:
+        for cid in ("T35.1", "C.1"):
+            patched.setitem(CONDITIONS, cid, replace(CONDITIONS[cid], fn=shared))
+        report = sweep(corpus)
+    assert len(calls) == 173
+    assert report == sweep(corpus)
+    for s in corpus[:20]:
+        one, cor = evaluate_condition(s, "T35.1"), evaluate_condition(s, "C.1")
+        assert (one.condition, cor.condition) == ("T35.1", "C.1")
+        assert (one.holds, one.witness) == (cor.holds, cor.witness)
 
 
 def test_sweep_fixture_pair(sl2, lz2):

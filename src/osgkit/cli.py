@@ -83,8 +83,7 @@ def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
 
 def _emit(report: dict, fmt: str, render, out) -> None:
     if fmt == "json":
-        json.dump(report, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(report, indent=2) + "\n")
     else:
         render(report, out)
 

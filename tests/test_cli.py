@@ -294,8 +294,6 @@ def test_check_theorems_order_3_labelled_is_frozen(backend, fmt, sha256):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("backend", ["c"], indirect=True)
 def test_check_theorems_order_4_is_frozen(backend):
     code, text = run_cli("check-theorems", "--order", "4", "--format", "json")
     assert code == 0

@@ -31,7 +31,6 @@ from osgkit.theorems import (
     CONDITIONS,
     THEOREMS,
     SweepReport,
-    _full_vector_disagrees,
     check_theorem,
     condition_ids,
     evaluate_condition,
@@ -435,7 +434,46 @@ def test_verdicts_survive_random_relabelling_at_order_4(poset, perm, data):
     assert _labelling_free_verdicts(moved) == _labelling_free_verdicts(s)
 
 
-def test_sweep_equals_checking_every_copy(corpus_upto3_labelled):
+def _full_vector_disagrees(report, kind) -> bool:
+    """The outside-hypothesis test, written out: every item of the vector
+    counts, inside its hypothesis or not."""
+    holds = [v.holds for v in report.vector]
+    if kind == "equivalence":
+        return len(set(holds)) > 1
+    if kind == "implications":
+        return holds[0] and not all(holds)
+    assert kind == "all_hold"
+    return not all(holds)
+
+
+def _l4_1_up_to_equality(f):
+    # L4.1 with H replaced by equality: a L b exactly when a'a = b'b
+    same_l, mult = f.greens.L.class_of, f.mult
+    for a in range(f.n):
+        for b in range(f.n):
+            for ap in f.inv[a]:
+                for bp in f.inv[b]:
+                    if (same_l[a] == same_l[b]) != (mult[ap][a] == mult[bp][b]):
+                        return False, (a, b, ap, bp)
+    return True, None
+
+
+# (condition id, mutant function, the grouping it must make inconsistent)
+MUTANTS = {
+    "catalog": None,
+    "L4.1-up-to-equality": ("L4.1", _l4_1_up_to_equality, "LEM_4"),
+    "T35.2-never": ("T35.2", lambda f: (False, (0,)), "THM_3_5"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_sweep_equals_checking_every_copy(monkeypatch, corpus_upto3_labelled, mutant):
+    # the sweep decides each class from verdict bits; every count and
+    # record must equal what checking every copy's full report gives, with
+    # the catalog as it stands and with mutants that make it inconsistent
+    if MUTANTS[mutant]:
+        cid, fn, broken = MUTANTS[mutant]
+        monkeypatch.setitem(CONDITIONS, cid, replace(CONDITIONS[cid], fn=fn))
     report = sweep(corpus_upto3_labelled)
     keyed = sorted(
         ((canonical_form(s).hex(), s) for s in corpus_upto3_labelled),
@@ -461,8 +499,42 @@ def test_sweep_equals_checking_every_copy(corpus_upto3_labelled):
         assert [(r.canonical, r.structure, r.report) for r in entry.outside_disagreements] \
             == outside
         records += len(inconsistencies) + len(outside)
+        if MUTANTS[mutant] and entry.theorem == broken:
+            assert entry.inconsistent > 0
     assert report.structures == 992
     assert records > 0  # the per-copy path is exercised, not only the shared one
+    assert (report.total_inconsistent > 0) == bool(MUTANTS[mutant])
+
+
+def test_sweep_builds_reports_only_for_records(monkeypatch, corpus_upto3_labelled):
+    # the classes are decided as bits; a report is built for a printed
+    # record only, once (the first copy's reuses the verdicts decided)
+    built = []
+
+    def counted(*args, report=theorems.TheoremReport, **kwargs):
+        built.append(report(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(theorems, "TheoremReport", counted)
+    report = sweep(corpus_upto3_labelled)
+    records = [r.report for t in report.theorems
+               for r in t.inconsistencies + t.outside_disagreements]
+    assert len(built) == len(records) == 1096
+    assert {id(r) for r in built} == {id(r) for r in records}
+
+
+def test_non_regular_classes_have_a_sigma_class_not_group_like(
+        corpus_upto3_iso, corpus_order4_iso):
+    # B.2 fails on a non-regular structure without building sigma: a
+    # group-like class is regular, so some sigma-class is not group-like
+    non_regular = 0
+    for s in corpus_upto3_iso + corpus_order4_iso:
+        f = facts(s)
+        if f.not_regular is not None:
+            non_regular += 1
+            assert any(f.not_group_like(c) is not None for c in f.sigma.classes)
+            assert evaluate_condition(s, "B.2").holds is False
+    assert non_regular == 2 + 64 + 2406  # at orders 2, 3 and 4
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,72 @@ def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
     return s, names
 
 
+def _write_json(doc, out, batch: int = 4096) -> None:
+    """Write doc to out in the bytes of ``json.dumps(doc, indent=2) + "\\n"``,
+    in writes of about ``batch`` pieces, so the document is never held
+    whole.  doc holds dicts with str keys, lists, tuples, str, int, bool
+    and None; any other value raises TypeError."""
+    escape = json.encoder.encode_basestring_ascii
+    pieces: list[str] = []
+    append = pieces.append
+    newlines = ["\n"]  # newlines[d] breaks a line and indents it to depth d
+
+    def flush():
+        out.write("".join(pieces))
+        pieces.clear()
+
+    def container(o, depth):
+        if len(newlines) == depth + 1:
+            newlines.append(newlines[depth] + "  ")
+        inner = newlines[depth + 1]
+        if isinstance(o, dict):
+            sep, close = "{" + inner, "}"
+            for key, item in o.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(sep + escape(key) + ": ")
+                sep = "," + inner
+                value(item, depth + 1)
+                if len(pieces) >= batch:
+                    flush()
+        else:
+            sep, close = "[" + inner, "]"
+            for item in o:
+                append(sep)
+                sep = "," + inner
+                value(item, depth + 1)
+                if len(pieces) >= batch:
+                    flush()
+        append(newlines[depth] + close)
+
+    def value(o, depth):
+        if isinstance(o, str):
+            append(escape(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif not isinstance(o, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        elif o:
+            container(o, depth)
+        else:
+            append("{}" if isinstance(o, dict) else "[]")
+
+    value(doc, 0)
+    append("\n")
+    flush()
+
+
 def _emit(report: dict, fmt: str, render, out) -> None:
+    """Write report to out: as JSON, through :func:`_write_json`, or as
+    text, through render."""
     if fmt == "json":
-        out.write(json.dumps(report, indent=2) + "\n")
+        _write_json(report, out)
     else:
         render(report, out)
 

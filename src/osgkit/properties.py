@@ -117,8 +117,21 @@ class Facts:
     def inverse(self) -> PropertyReport:
         if self.not_regular is not None:
             return PropertyReport("inverse", False, (self.not_regular,), notes="not regular")
-        holds, witness = self.inverses_pairwise_related(range(self.n), self.greens.H.related)
+        holds, witness = self.inverses_h_related(range(self.n))
         return PropertyReport("inverse", holds, witness)
+
+    def inverses_h_related(self, elements):
+        """(holds, witness): any two inverses of each a in elements share
+        an H-class; a failing witness is the first such (a, b, c) in the
+        scan order of :meth:`inverses_pairwise_related`, where b is the
+        least inverse of a."""
+        h = self.greens.H.class_of
+        for a in elements:
+            inv = self.inv[a]
+            for c in inv[1:]:
+                if h[c] != h[inv[0]]:
+                    return False, (a, inv[0], c)
+        return True, None
 
     def inverses_pairwise_related(self, elements, related):
         """(holds, witness): related(b, c) for any two inverses b, c of
@@ -137,14 +150,14 @@ class Facts:
         # generators are L- (left) or R- (right) related
         greens = self.greens
         same_ideal = greens.L if side == "left" else greens.R
-        idem = self.idem
-        idem_classes = {same_ideal.class_of[e] for e in idem}
+        idem, same, h = self.idem, same_ideal.class_of, greens.H.class_of
+        idem_classes = {same[e] for e in idem}
         for a in range(self.n):
-            if same_ideal.class_of[a] not in idem_classes:
+            if same[a] not in idem_classes:
                 return PropertyReport(prop, False, (a,), notes="no idempotent generator")
         for e in idem:
             for f in idem:
-                if same_ideal.related(e, f) and not greens.H.related(e, f):
+                if same[e] == same[f] and h[e] != h[f]:
                     return PropertyReport(prop, False, (e, f), notes="generators not H-related")
         return PropertyReport(prop, True)
 

@@ -52,10 +52,19 @@ class TheoremReport:
 
 @dataclass(frozen=True)
 class Condition:
+    """A catalog condition: given, then fn, must hold on the record, and
+    the verdict is the first failing one's, else fn's.  A function in
+    given is decided once per record with every id that names it."""
+
     id: str
     description: str
     ambient: str | None
     fn: Callable[[Facts], Verdict]
+    given: tuple[Callable[[Facts], Verdict], ...] = ()
+
+    @property
+    def fns(self) -> tuple[Callable[[Facts], Verdict], ...]:
+        return (*self.given, self.fn)
 
 
 @dataclass(frozen=True)
@@ -94,11 +103,11 @@ def _green_related_idempotents_h_related(f: Facts, relations) -> Verdict:
     """Ordered idempotents related by any of the named Green relations
     are H-related."""
     greens = f.greens
+    h = greens.H.class_of
+    others = [getattr(greens, rel).class_of for rel in relations]
     for e in f.idem:
         for g in f.idem:
-            if not greens.H.related(e, g) and any(
-                getattr(greens, rel).related(e, g) for rel in relations
-            ):
+            if h[e] != h[g] and any(r[e] == r[g] for r in others):
                 return False, (e, g)
     return True, None
 
@@ -178,10 +187,11 @@ def _inverse_pair_products_commute(f: Facts, elements) -> Verdict:
     return True, None
 
 
-def _inverse_and_completely_regular(f: Facts) -> Verdict:
-    inv = f.inverse()
-    if not inv.holds:
-        return False, inv.witness
+def _inverse(f: Facts) -> Verdict:
+    return _report_verdict(f.inverse())
+
+
+def _completely_regular(f: Facts) -> Verdict:
     return _report_verdict(f.regularity("completely_regular"))
 
 
@@ -216,11 +226,11 @@ def _group_like_decomposition(f: Facts) -> Verdict:
 
 
 def _idempotent_products_h_related(f: Facts) -> Verdict:
-    mult, idem, h = f.mult, f.idem_mask, f.greens.H
+    mult, idem, h = f.mult, f.idem_mask, f.greens.H.class_of
     for a in range(f.n):
         for b in range(f.n):
             ab, ba = mult[a][b], mult[b][a]
-            if idem >> ab & 1 and idem >> ba & 1 and not h.related(ab, ba):
+            if idem >> ab & 1 and idem >> ba & 1 and h[ab] != h[ba]:
                 return False, (a, b)
     return True, None
 
@@ -254,10 +264,10 @@ def _cr_gives_witnessed_powers(f: Facts) -> Verdict:
 def _cr_least_congruence_is_j(f: Facts) -> Verdict:
     if f.not_completely_regular is not None:
         return True, None
-    least, j = f.sigma, f.greens.J
+    least, j = f.sigma.class_of, f.greens.J.class_of
     for a in range(f.n):
         for b in range(a + 1, f.n):
-            if least.related(a, b) != j.related(a, b):
+            if (least[a] == least[b]) != (j[a] == j[b]):
                 return False, (a, b)
     return True, None
 
@@ -268,8 +278,8 @@ def _cr_least_congruence_is_j(f: Facts) -> Verdict:
 CONDITIONS: dict[str, Condition] = {}
 
 
-def _register(id: str, description: str, ambient: str | None, fn):
-    CONDITIONS[id] = Condition(id, description, ambient, fn)
+def _register(id: str, description: str, ambient: str | None, fn, given=()):
+    CONDITIONS[id] = Condition(id, description, ambient, fn, given)
 
 
 _register("T33.L", "principal left ideals have H-unique idempotent generators",
@@ -277,7 +287,7 @@ _register("T33.L", "principal left ideals have H-unique idempotent generators",
 _register("T33.R", "principal right ideals have H-unique idempotent generators",
           None, lambda f: _report_verdict(f.generator_uniqueness("right")))
 _register("T35.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, lambda f: _report_verdict(f.inverse()))
+          REGULAR, _inverse)
 _register("T35.2", "regular with pairwise H-commutative ordered idempotents",
           None, _regular_and_idempotents_commute)
 _register("T35.3", "L- or R-related ordered idempotents are H-related",
@@ -297,13 +307,13 @@ _register("C.1", "inverse: any two inverses of an element are H-related",
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
           REGULAR, lambda f: _inverse_pair_products_commute(f, range(f.n)))
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
-          REGULAR, lambda f: f.inverses_pairwise_related(f.idem, f.greens.H.related))
+          REGULAR, lambda f: f.inverses_h_related(f.idem))
 _register("C.4", "any two inverses of an ordered idempotent are H-commutative",
           REGULAR, lambda f: f.inverses_pairwise_related(f.idem, f.h_commutes))
 _register("C.5", "ee' and e'e are H-commutative for idempotent inverse pairs",
           REGULAR, lambda f: _inverse_pair_products_commute(f, f.idem))
 _register("B.1", "inverse and completely regular",
-          REGULAR, _inverse_and_completely_regular)
+          REGULAR, _completely_regular, given=(CONDITIONS["T35.1"].fn,))
 _register("B.2", "complete semilattice decomposition into group-like classes",
           REGULAR, _group_like_decomposition)
 _register("B.3", "ab H ba whenever both products are ordered idempotents",
@@ -382,9 +392,12 @@ def _entry(table: dict, what: str, key: str):
 
 def _condition_verdict(f: Facts, condition_id: str, outcomes: dict) -> ConditionVerdict:
     condition = _entry(CONDITIONS, "condition", condition_id)
-    if condition.fn not in outcomes:  # ids that share a function share its call
-        outcomes[condition.fn] = condition.fn(f)
-    holds, witness = outcomes[condition.fn]
+    for fn in condition.fns:
+        if fn not in outcomes:  # ids that share a function share its call
+            outcomes[fn] = fn(f)
+        holds, witness = outcomes[fn]
+        if not holds:
+            break
     return ConditionVerdict(
         condition_id, holds, witness, _ambient_met(f, condition.ambient)
     )
@@ -522,7 +535,11 @@ class SweepReport:
 
 def sweep(corpus, theorem_ids=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
-    canonical form.  Invalid corpus members are skipped with a note.
+    canonical form.  Invalid corpus members are skipped with a note, in
+    corpus order.  Validity does not change under relabelling, so each
+    class is validated once, on its first copy, after the canonical forms
+    are taken; a member without one (an order above the kernel's) is
+    validated first, and raises only if it is valid.
 
     Isomorphic copies share their canonical form, and a condition's
     ``holds`` and ``hypothesis_met`` must not depend on the labelling
@@ -538,24 +555,33 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
     items = [[[_entry(CONDITIONS, "condition", cid) for cid in item] for item in t.items]
              for t in theorems]
     conditions = [c for t in items for item in t for c in item]
-    fns = dict.fromkeys(c.fn for c in conditions)
+    fns = dict.fromkeys(fn for c in conditions for fn in c.fns)
     ambients = {t.ambient for t in theorems} | {c.ambient for c in conditions}
     # one bit per distinct condition function and per ambient; a class
     # sets the bits of the functions that fail and of the ambients it misses
     bit = {x: 1 << i for i, x in enumerate([*fns, *ambients])}
     plans = [
-        (t.kind, bit[t.ambient], [(sum({bit[c.fn] for c in item}),
+        (t.kind, bit[t.ambient], [(sum({bit[fn] for c in item for fn in c.fns}),
                                    sum({bit[c.ambient] for c in item})) for item in its])
         for t, its in zip(theorems, items)
     ]
 
     keyed = []
     skipped = []
+    valid = {}  # canonical form -> validity, decided on the class's first copy
     for i, s in enumerate(corpus):
-        if not is_valid(s):
-            skipped.append(f"corpus[{i}] skipped: fails validation")
-            continue
-        keyed.append((canonical_form(s).hex(), s))
+        try:
+            key = canonical_form(s).hex()
+        except ValueError:  # no canonical form, as above the kernel's orders:
+            if is_valid(s):  # an invalid member is skipped, a valid one raises
+                raise
+        else:
+            if key not in valid:
+                valid[key] = is_valid(s)
+            if valid[key]:
+                keyed.append((key, s))
+                continue
+        skipped.append(f"corpus[{i}] skipped: fails validation")
     keyed.sort(key=lambda pair: pair[0])
 
     # class by class: a copy's fact record serves every grouping, and is

@@ -3,7 +3,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from osgkit import cli
 from osgkit.cli import main
 from osgkit.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
 from osgkit.structure import format_structure, from_table, parse_named_structure
@@ -299,6 +302,64 @@ def test_check_theorems_order_4_is_frozen(backend):
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         "55596e0abb92a3fb77f537e0b49f2fd791487011978b709541cf390edc86d6de"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["c"], indirect=True)
+def test_check_theorems_order_5_shard_is_frozen(backend):
+    # the largest document the suite renders: 4971 order-5 classes
+    code, text = run_cli("check-theorems", "--order", "5", "--unlock-order-5",
+                         "--shard", "0/40", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "28653a8dfe5b85f5ad1035fa9bb94cc318552fcc53cb8afcbc87cfb62f1b385c"
+
+
+class RecordingOut:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+JSON_STRINGS = st.text(st.sampled_from('az"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    | JSON_STRINGS | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(JSON_STRINGS | st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(doc=JSON_DOCS, batch=st.integers(1, 6))
+def test_json_writer_matches_json_dumps(doc, batch):
+    out = RecordingOut()
+    cli._write_json(doc, out, batch)
+    assert "".join(out.writes) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, {"a": [1, frozenset()]}, {"a": 1.5}, {1: "a"}],
+                         ids=["set", "nested-set", "float", "int-key"])
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._write_json(doc, RecordingOut())
+
+
+def test_check_theorems_json_is_written_in_batches(monkeypatch):
+    docs = []
+
+    def recorded(doc, out, write_json=cli._write_json):
+        docs.append(doc)
+        write_json(doc, out)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    out = RecordingOut()
+    assert main(["check-theorems", "--order", "3", "--labelled", "--format", "json"],
+                out=out) == 0
+    assert len(out.writes) > 1
+    assert "".join(out.writes) == json.dumps(docs[0], indent=2) + "\n"
 
 
 def test_check_theorems_corpus_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 from dataclasses import asdict, replace
 
 import pytest
@@ -271,6 +272,24 @@ def test_c1_is_t35_1_decided_once(monkeypatch, corpus_upto3_iso):
         assert (one.holds, one.witness) == (cor.holds, cor.witness)
 
 
+def test_b1_reuses_the_inverse_verdict(monkeypatch, corpus_upto3_iso):
+    # B.1 is "inverse and completely regular", and its first half is
+    # T35.1's function, decided once per record with T35.1 and C.1
+    corpus = [s for s in corpus_upto3_iso if s.order == 3]
+    assert CONDITIONS["B.1"].given == (CONDITIONS["T35.1"].fn,)
+    calls = []
+
+    def counted(f, inverse=properties.Facts.inverse):
+        calls.append(f)
+        return inverse(f)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(properties.Facts, "inverse", counted)
+        report = sweep(corpus)
+    assert len(calls) == 173
+    assert report == sweep(corpus)
+
+
 def test_sweep_fixture_pair(sl2, lz2):
     report = sweep([sl2, lz2], ["THM_BIG"])
     entry = report.theorems[0]
@@ -291,6 +310,51 @@ def test_sweep_skips_invalid_members(px3, sl2):
     assert report.structures == 1
     assert len(report.skipped) == 1
     assert "corpus[0]" in report.skipped[0]
+
+
+def test_sweep_validates_each_class_once(monkeypatch, corpus_upto3_labelled):
+    # validity does not change under relabelling, so each class is
+    # validated on its first copy only
+    corpus = [s for s in corpus_upto3_labelled if s.order == 3]
+    calls = []
+
+    def counted(s, is_valid=theorems.is_valid):
+        calls.append(s)
+        return is_valid(s)
+
+    monkeypatch.setattr(theorems, "is_valid", counted)
+    report = sweep(corpus)
+    assert report.structures == len(corpus) == 971
+    assert len(calls) == 173
+
+
+def test_sweep_skip_notes_match_validating_every_member(px3, c2, sl2, lz2):
+    # invalid members, several isomorphic copies of some, valid copies and
+    # an invalid order-6 member, which has no canonical form, shuffled: the
+    # notes and their corpus order are those of validating every member
+    rng = random.Random(20)
+
+    def copies(s, count):
+        return [relabel(s, rng.sample(range(s.order), s.order)) for _ in range(count)]
+
+    invalid_6 = from_table([[(a - b) % 6 for b in range(6)] for a in range(6)])
+    corpus = copies(px3, 4) + copies(c2, 3) + copies(sl2, 3) + copies(lz2, 2) + [invalid_6]
+    rng.shuffle(corpus)
+    valid = [s for s in corpus if validate(s).valid]
+    reference = tuple(f"corpus[{i}] skipped: fails validation"
+                      for i, s in enumerate(corpus) if not validate(s).valid)
+    assert len(reference) == 8 and len(valid) == 5
+    report = sweep(corpus)
+    assert report.skipped == reference
+    assert report.structures == 5
+    assert report.theorems == sweep(valid).theorems
+    # a valid member above the kernel's orders still raises, as when every
+    # member was validated before its canonical form was taken
+    chain_6 = from_table([[min(a, b) for b in range(6)] for a in range(6)],
+                         [(a, b) for a in range(6) for b in range(a + 1, 6)])
+    assert validate(chain_6).valid
+    with pytest.raises(ValueError, match="order must be within"):
+        sweep(corpus + [chain_6])
 
 
 def test_sweep_unknown_theorem(sl2):

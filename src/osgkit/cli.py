@@ -30,10 +30,10 @@ from osgkit.properties import GENERATOR_SIDES, GROUP_LIKE_KINDS, REGULARITY_KIND
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
-    canonical_form,
     default_names,
     format_structure,
     parse_named_structure,
+    structure_key,
     validate,
 )
 from osgkit.subsets import SIDES, is_simple
@@ -57,17 +57,6 @@ def _names_tuple(names, indices):
     )
 
 
-def _check_orders(path: str, structures) -> None:
-    """Every report carries a canonical form, which the kernel computes
-    only for orders 1..HARD_MAX_ORDER."""
-    for s in structures:
-        if s.order > HARD_MAX_ORDER:
-            raise CliError(
-                f"{path}: order {s.order} is outside 1..{HARD_MAX_ORDER}, "
-                "the orders that have canonical forms"
-            )
-
-
 def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
     try:
         text = open(path, encoding="utf-8").read()
@@ -77,7 +66,6 @@ def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
         s, names = parse_named_structure(text)
     except StructureParseError as exc:
         raise CliError(f"{path}: {exc}") from None
-    _check_orders(path, [s])
     return s, names
 
 
@@ -159,7 +147,7 @@ def _emit_validation(command, args, s, names, report, out) -> int:
     findings = [
         {
             "kind": "axiom_failure",
-            "structure": canonical_form(s).hex(),
+            "structure": structure_key(s).hex(),
             "axiom": f.axiom,
             "witness": _names_tuple(names, f.witness),
         }
@@ -217,7 +205,7 @@ def _cmd_analyze(args, out) -> int:
 
     f = facts(s)
     greens, least = f.greens, f.sigma
-    canon = canonical_form(s).hex()
+    canon = structure_key(s).hex()
     findings = [
         {
             "kind": "idempotents",
@@ -313,7 +301,7 @@ def _cmd_inverses(args, out) -> int:
         "findings": [
             {
                 "kind": "inverses",
-                "structure": canonical_form(s).hex(),
+                "structure": structure_key(s).hex(),
                 "element": names[a],
                 "inverses": [names[b] for b in inv],
             }
@@ -388,7 +376,7 @@ def _cmd_enumerate(args, out) -> int:
             },
             "count": len(structures),
             "findings": [
-                {"kind": "structure", "structure": canonical_form(s).hex()}
+                {"kind": "structure", "structure": structure_key(s).hex()}
                 for s in structures
             ],
         }
@@ -462,7 +450,6 @@ def _cmd_check_theorems(args, out) -> int:
             corpus = read_corpus(text)
         except StructureParseError as exc:
             raise CliError(f"{args.corpus}: {exc}") from None
-        _check_orders(args.corpus, corpus)
         if args.shard:
             corpus = list(shard_stream(corpus, _parse_shard(args.shard)))
     else:

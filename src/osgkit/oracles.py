@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from osgkit.fixtures import load_named_fixture
 from osgkit.properties import resolve_predicate
 from osgkit.relations import Partition, is_congruence
-from osgkit.structure import OrderedSemigroup, from_table, substructure
+from osgkit.structure import OrderedSemigroup, from_table
 
 
 def assoc_failures(mult) -> list[tuple[int, int, int]]:
@@ -172,6 +172,25 @@ def complete_semilattice_congruences(s: OrderedSemigroup) -> list[Partition]:
         p for p in all_partitions(s.order)
         if is_congruence(s, p, "complete_semilattice").ok
     ]
+
+
+def substructure(s: OrderedSemigroup, members) -> OrderedSemigroup:
+    """Restrict to a multiplicatively closed subset, reindexed 0..k-1.
+
+    The induced order is the restriction of leq; raises if the subset is
+    empty or not closed under multiplication.
+    """
+    old = sorted(set(members))
+    if not old:
+        raise ValueError("substructure needs a nonempty carrier")
+    new_index = {x: i for i, x in enumerate(old)}
+    for a in old:
+        for b in old:
+            if s.mult[a][b] not in new_index:
+                raise ValueError(f"subset not closed: {a}*{b} escapes")
+    mult = tuple(tuple(new_index[s.mult[a][b]] for b in old) for a in old)
+    leq = tuple(tuple(s.leq[a][b] for b in old) for a in old)
+    return OrderedSemigroup(len(old), mult, leq)
 
 
 class DecompositionVerdict(NamedTuple):

@@ -36,11 +36,11 @@ __all__ = [
     "validate",
     "is_valid",
     "canonical_form",
+    "structure_key",
     "decode_canonical",
     "is_isomorphic",
     "opposite",
     "relabel",
-    "substructure",
 ]
 
 AXIOM_KINDS = (
@@ -155,8 +155,8 @@ def parse_named_structure(text: str) -> tuple[OrderedSemigroup, tuple[str, ...]]
         n = int(tokens[1])
     except ValueError:
         raise StructureParseError(f"order is not an integer: {tokens[1]!r}", lineno) from None
-    if n < 1:
-        raise StructureParseError("order must be positive", lineno)
+    if not 1 <= n <= 255:  # a structure's key holds its order in one byte
+        raise StructureParseError("order must be within 1..255", lineno)
 
     pos = 1
     names = default_names(n)
@@ -314,6 +314,17 @@ def canonical_form(s: OrderedSemigroup) -> bytes:
     return kernel.canonical_key(mult, leq, s.order)
 
 
+def structure_key(s: OrderedSemigroup) -> bytes:
+    """The key reports and sweeps file a structure under: its canonical
+    form at the kernel's orders (1..``kernel.MAX_ORDER``); above them, its
+    own encoding in the same layout, not minimised, so isomorphic copies
+    get different keys there.  Orders above 255 have no key."""
+    if s.order <= kernel.MAX_ORDER:
+        return canonical_form(s)
+    mult, leq = s.flat()
+    return bytes([s.order]) + mult + leq
+
+
 def decode_canonical(key: bytes) -> OrderedSemigroup:
     n = key[0]
     if len(key) != 1 + 2 * n * n:
@@ -330,22 +341,3 @@ def opposite(s: OrderedSemigroup) -> OrderedSemigroup:
     n = s.order
     mult = tuple(tuple(s.mult[j][i] for j in range(n)) for i in range(n))
     return OrderedSemigroup(n, mult, s.leq)
-
-
-def substructure(s: OrderedSemigroup, members) -> OrderedSemigroup:
-    """Restrict to a multiplicatively closed subset, reindexed 0..k-1.
-
-    The induced order is the restriction of leq; raises if the subset is
-    empty or not closed under multiplication.
-    """
-    old = sorted(set(members))
-    if not old:
-        raise ValueError("substructure needs a nonempty carrier")
-    new_index = {x: i for i, x in enumerate(old)}
-    for a in old:
-        for b in old:
-            if s.mult[a][b] not in new_index:
-                raise ValueError(f"subset not closed: {a}*{b} escapes")
-    mult = tuple(tuple(new_index[s.mult[a][b]] for b in old) for a in old)
-    leq = tuple(tuple(s.leq[a][b] for b in old) for a in old)
-    return OrderedSemigroup(len(old), mult, leq)

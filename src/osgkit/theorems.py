@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import Callable, Iterable
 
 from osgkit.properties import Facts, facts
-from osgkit.structure import OrderedSemigroup, canonical_form, is_valid
+from osgkit.structure import OrderedSemigroup, is_valid, structure_key
 from osgkit.subsets import union_of
 
 REGULAR = "regular"
@@ -44,7 +44,9 @@ class ConditionVerdict:
 @dataclass(frozen=True)
 class TheoremReport:
     theorem: str
-    structure: str  # canonical form, hex
+    # structure_key hex: the canonical form up to order 5, above it the
+    # structure's own encoding (canonical_form and is_isomorphic raise)
+    structure: str
     vector: tuple[ConditionVerdict, ...]
     consistent: bool
     hypothesis_met: bool
@@ -52,19 +54,20 @@ class TheoremReport:
 
 @dataclass(frozen=True)
 class Condition:
-    """A catalog condition: given, then fn, must hold on the record, and
-    the verdict is the first failing one's, else fn's.  A function in
-    given is decided once per record with every id that names it."""
+    """A catalog condition: the functions of the ids in given, then fn,
+    must hold on the record; the verdict is the first failing one's, else
+    fn's.  given ids are looked up in ``CONDITIONS`` as the functions are
+    read, so a shared function is one object, decided once per record."""
 
     id: str
     description: str
     ambient: str | None
     fn: Callable[[Facts], Verdict]
-    given: tuple[Callable[[Facts], Verdict], ...] = ()
+    given: tuple[str, ...] = ()
 
     @property
     def fns(self) -> tuple[Callable[[Facts], Verdict], ...]:
-        return (*self.given, self.fn)
+        return (*(CONDITIONS[cid].fn for cid in self.given), self.fn)
 
 
 @dataclass(frozen=True)
@@ -303,7 +306,7 @@ _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
 _register("TESF", "inverses of members of (eSf] lie in (fSe]",
           None, _sandwich_inverses)
 _register("C.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, CONDITIONS["T35.1"].fn)  # T35.1's function, called once for both
+          REGULAR, lambda f: (True, None), given=("T35.1",))
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
           REGULAR, lambda f: _inverse_pair_products_commute(f, range(f.n)))
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
@@ -313,7 +316,7 @@ _register("C.4", "any two inverses of an ordered idempotent are H-commutative",
 _register("C.5", "ee' and e'e are H-commutative for idempotent inverse pairs",
           REGULAR, lambda f: _inverse_pair_products_commute(f, f.idem))
 _register("B.1", "inverse and completely regular",
-          REGULAR, _completely_regular, given=(CONDITIONS["T35.1"].fn,))
+          REGULAR, _completely_regular, given=("T35.1",))
 _register("B.2", "complete semilattice decomposition into group-like classes",
           REGULAR, _group_like_decomposition)
 _register("B.3", "ab H ba whenever both products are ordered idempotents",
@@ -458,9 +461,9 @@ def check_theorem(s: OrderedSemigroup, theorem_id: str) -> TheoremReport:
 
     The report is marked hypothesis-unmet (and should be excluded from
     consistency accounting) when the structure misses the ambient.  It is
-    the report :func:`sweep` gives the structure for that grouping.
+    the report :func:`sweep` gives it for that grouping, at any order 1..255.
     """
-    return _reports(facts(s), canonical_form(s).hex(), (theorem_id,))[0]
+    return _reports(facts(s), structure_key(s).hex(), (theorem_id,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +538,14 @@ class SweepReport:
 
 def sweep(corpus, theorem_ids=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
-    canonical form.  Invalid corpus members are skipped with a note, in
-    corpus order.  Validity does not change under relabelling, so each
-    class is validated once, on its first copy, after the canonical forms
-    are taken; a member without one (an order above the kernel's) is
-    validated first, and raises only if it is valid.
+    :func:`~osgkit.structure.structure_key`, the canonical form at orders
+    1..5 and the structure's own encoding above them.  Invalid corpus
+    members are skipped with a note, in corpus order.  Validity does not
+    change under relabelling, so each class is validated once, on its
+    first copy, after the keys are taken.
 
-    Isomorphic copies share their canonical form, and a condition's
+    Isomorphic copies of order at most 5 share their key (above order 5
+    each copy is its own class, decided alone), and a condition's
     ``holds`` and ``hypothesis_met`` must not depend on the labelling
     (only its witness may), as for every catalog condition.  Each class is
     therefore decided on its first copy in corpus order, as bits with no
@@ -568,20 +572,15 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
 
     keyed = []
     skipped = []
-    valid = {}  # canonical form -> validity, decided on the class's first copy
+    valid = {}  # key -> validity, decided on the class's first copy
     for i, s in enumerate(corpus):
-        try:
-            key = canonical_form(s).hex()
-        except ValueError:  # no canonical form, as above the kernel's orders:
-            if is_valid(s):  # an invalid member is skipped, a valid one raises
-                raise
+        key = structure_key(s).hex()
+        if key not in valid:
+            valid[key] = is_valid(s)
+        if valid[key]:
+            keyed.append((key, s))
         else:
-            if key not in valid:
-                valid[key] = is_valid(s)
-            if valid[key]:
-                keyed.append((key, s))
-                continue
-        skipped.append(f"corpus[{i}] skipped: fails validation")
+            skipped.append(f"corpus[{i}] skipped: fails validation")
     keyed.sort(key=lambda pair: pair[0])
 
     # class by class: a copy's fact record serves every grouping, and is

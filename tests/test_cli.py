@@ -71,15 +71,21 @@ def test_validate_missing_file_exits_2(capsys):
     ["check-theorems", "--corpus", "{path}"],
 ])
 def test_orders_above_the_limit_exit_2(tmp_path, capsys, command):
+    # every order one byte holds is read, past the kernel's 1..5: the
+    # six-element chain is reported under its own encoding
     chain = tmp_path / "chain6.osg"
     chain.write_text(format_structure(from_table(
         [[min(i, j) for j in range(6)] for i in range(6)],
         [(i, j) for i in range(6) for j in range(i + 1, 6)],
     )))
     code, _ = run_cli(*(arg.format(path=chain) for arg in command))
+    assert code == 0
+    big = tmp_path / "order256.osg"
+    big.write_text("order 256\n")
+    code, _ = run_cli(*(arg.format(path=big) for arg in command))
     err = capsys.readouterr().err
     assert code == 2
-    assert f"error: {chain}: order 6 is outside 1..5" in err
+    assert f"error: {big}: line 1: order must be within 1..255" in err
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ from osgkit.oracles import (
     complete_semilattice_congruences,
     greens_by_literal_sets,
     semilattice_decomposition_check,
+    substructure,
 )
 from osgkit.properties import regularity, resolve_predicate
 from osgkit.relations import (
@@ -16,7 +17,7 @@ from osgkit.relations import (
     is_congruence,
     least_complete_semilattice_congruence,
 )
-from osgkit.structure import relabel, substructure
+from osgkit.structure import relabel
 from osgkit.theorems import evaluate_condition
 
 

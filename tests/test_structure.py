@@ -18,6 +18,7 @@ from osgkit.structure import (
     parse_named_structure,
     parse_structure,
     relabel,
+    structure_key,
     validate,
 )
 
@@ -289,6 +290,19 @@ def test_is_isomorphic(lz2, rz2, t1):
     assert is_isomorphic(lz2, relabel(lz2, (1, 0)))
     assert not is_isomorphic(lz2, rz2)
     assert is_isomorphic(t1, t1)
+
+
+def test_structure_key_above_order_5_is_the_own_encoding():
+    chain = from_table([[min(i, j) for j in range(6)] for i in range(6)],
+                       [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    flipped = relabel(chain, range(5, -1, -1))
+    for s in (chain, flipped):
+        mult, leq = s.flat()
+        assert structure_key(s) == bytes([6]) + mult + leq
+        assert decode_canonical(structure_key(s)) == s
+    assert structure_key(chain) != structure_key(flipped)  # copies are not merged
+    with pytest.raises(ValueError, match="order must be within 1..5"):
+        canonical_form(chain)
 
 
 @given(perm=st.permutations(range(3)))

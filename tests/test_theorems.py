@@ -249,11 +249,11 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
 
 
 def test_c1_is_t35_1_decided_once(monkeypatch, corpus_upto3_iso):
-    # C.1 is registered with T35.1's function, and a record calls each
+    # C.1 is T35.1's function given by id, and a record calls each
     # distinct function once, so one shared wrapper runs once per class
     # while both ids keep their own verdicts
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
-    assert CONDITIONS["C.1"].fn is CONDITIONS["T35.1"].fn
+    assert CONDITIONS["C.1"].given == ("T35.1",)
     calls = []
 
     def shared(f, fn=CONDITIONS["T35.1"].fn):
@@ -274,9 +274,10 @@ def test_c1_is_t35_1_decided_once(monkeypatch, corpus_upto3_iso):
 
 def test_b1_reuses_the_inverse_verdict(monkeypatch, corpus_upto3_iso):
     # B.1 is "inverse and completely regular", and its first half is
-    # T35.1's function, decided once per record with T35.1 and C.1
+    # T35.1's function given by id, decided once per record with T35.1
+    # and C.1
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
-    assert CONDITIONS["B.1"].given == (CONDITIONS["T35.1"].fn,)
+    assert CONDITIONS["B.1"].given == ("T35.1",)
     calls = []
 
     def counted(f, inverse=properties.Facts.inverse):
@@ -285,6 +286,29 @@ def test_b1_reuses_the_inverse_verdict(monkeypatch, corpus_upto3_iso):
 
     with monkeypatch.context() as patched:
         patched.setattr(properties.Facts, "inverse", counted)
+        report = sweep(corpus)
+    assert len(calls) == 173
+    assert report == sweep(corpus)
+
+
+def test_wrapping_every_condition_keeps_one_inverse_test(monkeypatch, corpus_upto3_iso):
+    # a wrapper around each registered function, as a tracer installs
+    # them: C.1 and B.1 name T35.1 by id, so they read its wrapper, and
+    # the inverse test still runs once per class
+    corpus = [s for s in corpus_upto3_iso if s.order == 3]
+    calls = []
+
+    def counted(f, inverse=properties.Facts.inverse):
+        calls.append(f)
+        return inverse(f)
+
+    def wrapped(fn):
+        return lambda f: fn(f)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(properties.Facts, "inverse", counted)
+        for cid, condition in CONDITIONS.items():
+            patched.setitem(CONDITIONS, cid, replace(condition, fn=wrapped(condition.fn)))
         report = sweep(corpus)
     assert len(calls) == 173
     assert report == sweep(corpus)
@@ -348,13 +372,15 @@ def test_sweep_skip_notes_match_validating_every_member(px3, c2, sl2, lz2):
     assert report.skipped == reference
     assert report.structures == 5
     assert report.theorems == sweep(valid).theorems
-    # a valid member above the kernel's orders still raises, as when every
-    # member was validated before its canonical form was taken
+    # a valid member above the kernel's orders is swept under its own
+    # encoding, like every other member
     chain_6 = from_table([[min(a, b) for b in range(6)] for a in range(6)],
                          [(a, b) for a in range(6) for b in range(a + 1, 6)])
     assert validate(chain_6).valid
-    with pytest.raises(ValueError, match="order must be within"):
-        sweep(corpus + [chain_6])
+    report = sweep(corpus + [chain_6])
+    assert report.skipped == reference
+    assert report.structures == 6
+    assert report.theorems == sweep(valid + [chain_6]).theorems
 
 
 def test_sweep_unknown_theorem(sl2):
@@ -627,3 +653,94 @@ def test_inverse_and_b1_agree_up_to_order_4():
         inverse = [evaluate_condition(s, "T35.1").holds for s in corpus]
         assert [evaluate_condition(s, "B.1").holds for s in corpus] == inverse
     assert sum(inverse) == 1095  # of the order-4 classes
+
+
+# ---------------------------------------------------------------------------
+# past order 5: the Brandt family and products of small classes
+
+
+def _brandt(n, zero_below):
+    """B(1, n): a zero 0 and the matrix units e_ij (0 <= i, j < n) as
+    1 + i*n + j, where e_ij e_kl = e_il when j == k and 0 otherwise;
+    discrete order, or 0 below every element."""
+    def mul(a, b):
+        if not a or not b:
+            return 0
+        (i, j), (k, l) = divmod(a - 1, n), divmod(b - 1, n)
+        return 1 + i * n + l if j == k else 0
+
+    order = n * n + 1
+    return from_table([[mul(a, b) for b in range(order)] for a in range(order)],
+                      [(0, x) for x in range(1, order)] if zero_below else ())
+
+
+BRANDT = [(n, zero_below) for n in (2, 3, 4, 5) for zero_below in (False, True)]
+
+
+@pytest.mark.parametrize("n, zero_below", BRANDT)
+def test_brandt_family_is_inverse_not_completely_regular(b2, n, zero_below):
+    # the standard inverse semigroups that are not completely regular, of
+    # orders 5, 10, 17 and 26: THM_BIG's B.1 to B.6 all fail, and nothing else
+    s = _brandt(n, zero_below)
+    assert s.order == n * n + 1
+    assert validate(s).valid
+    if (n, zero_below) == (2, False):
+        assert s == b2
+    report = sweep([s])
+    assert report.structures == 1 and report.total_inconsistent == 0
+    assert {t.theorem: t.hypothesis_met for t in report.theorems}["THM_BIG"] == 1
+    failing = {cid for cid in condition_ids() if not evaluate_condition(s, cid).holds}
+    assert failing == {"B.1", "B.2", "B.3", "B.4", "B.5", "B.6"}
+
+
+def test_b1_without_its_cr_conjunct_is_killed_by_brandt(monkeypatch, corpus_upto3_labelled):
+    # B.1 read as "inverse" alone: the 992 labelled structures of orders
+    # 1..3 do not tell the two apart, and every B(1, n) does
+    monkeypatch.setitem(CONDITIONS, "B.1",
+                        replace(CONDITIONS["B.1"], fn=lambda f: (True, None)))
+    assert sweep(corpus_upto3_labelled).total_inconsistent == 0
+    for n, zero_below in BRANDT:
+        report = sweep([_brandt(n, zero_below)])
+        assert {t.theorem: t.inconsistent for t in report.theorems
+                if t.inconsistent} == {"THM_BIG": 1}
+
+
+def _product(s, t):
+    """s x t with the componentwise product and order; (a, b) is a*|t| + b."""
+    pairs = [divmod(x, t.order) for x in range(s.order * t.order)]
+    mult = [[s.mult[a][c] * t.order + t.mult[b][d] for c, d in pairs] for a, b in pairs]
+    below = [(x, y) for x, (a, b) in enumerate(pairs) for y, (c, d) in enumerate(pairs)
+             if x != y and s.leq[a][c] and t.leq[b][d]]
+    return from_table(mult, below)
+
+
+def test_order_6_products_sweep_consistently(corpus_upto3_iso):
+    # every product of an order-2 and an order-3 class is a valid order-6
+    # structure, regular and inverse exactly when both factors are
+    twos = [s for s in corpus_upto3_iso if s.order == 2]
+    threes = [s for s in corpus_upto3_iso if s.order == 3]
+    assert (len(twos), len(threes)) == (11, 173)
+
+    def laws(s):
+        f = facts(s)
+        return f.not_regular is None, f.inverse().holds
+
+    factor_laws = {s: laws(s) for s in twos + threes}
+    products, regular = [], 0
+    for s in twos:
+        for t in threes:
+            p = _product(s, t)
+            assert validate(p).valid
+            (sr, si), (tr, ti) = factor_laws[s], factor_laws[t]
+            assert laws(p) == (sr and tr, si and ti)
+            products.append(p)
+            regular += sr and tr
+    assert regular == 981
+    report = sweep(products)
+    assert report.structures == 1903 and report.total_inconsistent == 0
+    assert {t.theorem: (t.hypothesis_met, len(t.outside_disagreements))
+            for t in report.theorems} == {
+        "THM_3_3": (981, 0), "THM_3_5": (981, 432), "THM_ESF": (981, 432),
+        "COR": (981, 432), "THM_BIG": (981, 432), "LEM_4": (981, 0),
+        "LEM_2_1": (1903, 0),
+    }

@@ -451,11 +451,11 @@ def _cmd_check_theorems(args, out) -> int:
         except StructureParseError as exc:
             raise CliError(f"{args.corpus}: {exc}") from None
         if args.shard:
-            corpus = list(shard_stream(corpus, _parse_shard(args.shard)))
+            corpus = shard_stream(corpus, _parse_shard(args.shard))
     else:
         mode = "labelled" if args.labelled else "up_to_iso"
         opts = _options_from_args(args, mode)
-        corpus = list(enumerate_ordered_semigroups(opts))
+        corpus = enumerate_ordered_semigroups(opts)
         n = opts.order
         candidates = ASSOC_TABLE_COUNTS[n] * POSET_COUNTS[n]
 

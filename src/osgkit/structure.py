@@ -321,6 +321,8 @@ def structure_key(s: OrderedSemigroup) -> bytes:
     get different keys there.  Orders above 255 have no key."""
     if s.order <= kernel.MAX_ORDER:
         return canonical_form(s)
+    if s.order > 255:  # the order byte
+        raise ValueError("order must be within 1..255")
     mult, leq = s.flat()
     return bytes([s.order]) + mult + leq
 

@@ -13,13 +13,15 @@ that a set of groupings needs is decided once per fact record.
 Sweeping a corpus reports, per grouping, how many structures met the
 hypothesis and every disagreement found; structures outside the ambient
 are still evaluated and logged separately so borderline cases stay
-visible.  A sweep decides each class as verdict bits and builds reports
-only for the records it prints: 1096 for the 992 labelled structures of
-orders 1..3, where building every grouping's report on each class took 2199.
+visible.  A sweep decides each grouping once per distinct verdict pattern
+(12 over the 4753 order-4 classes) and builds reports only for the
+records it prints: 1096 for the 992 labelled structures of orders 1..3,
+where building every grouping's report on each class took 2199.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
@@ -432,6 +434,15 @@ def _consistent(kind: str, holds: list[bool], met: list[bool]) -> bool:
     raise ValueError(f"unknown theorem kind {kind!r}")
 
 
+def _judged(f: Facts, theorem: Theorem, decided: dict) -> tuple:
+    """A grouping's item vector on the record f, whether it fits the
+    grouping's kind, and whether f meets the grouping's ambient: the fields
+    of its report after the ids."""
+    vector = tuple(_item_verdict(decided, item) for item in theorem.items)
+    holds, met = [v.holds for v in vector], [v.hypothesis_met for v in vector]
+    return vector, _consistent(theorem.kind, holds, met), _ambient_met(f, theorem.ambient)
+
+
 def _reports(f: Facts, structure: str, theorem_ids, outcomes=None) -> list[TheoremReport]:
     """One report per grouping, in order, on the structure whose fact
     record is f and whose canonical form is structure; each condition
@@ -441,19 +452,7 @@ def _reports(f: Facts, structure: str, theorem_ids, outcomes=None) -> list[Theor
     needed = dict.fromkeys(cid for t in theorems for item in t.items for cid in item)
     outcomes = {} if outcomes is None else outcomes
     decided = {cid: _condition_verdict(f, cid, outcomes) for cid in needed}
-    reports = []
-    for theorem in theorems:
-        vector = tuple(_item_verdict(decided, item) for item in theorem.items)
-        reports.append(TheoremReport(
-            theorem=theorem.id,
-            structure=structure,
-            vector=vector,
-            consistent=_consistent(
-                theorem.kind, [v.holds for v in vector], [v.hypothesis_met for v in vector]
-            ),
-            hypothesis_met=_ambient_met(f, theorem.ambient),
-        ))
-    return reports
+    return [TheoremReport(t.id, structure, *_judged(f, t, decided)) for t in theorems]
 
 
 def check_theorem(s: OrderedSemigroup, theorem_id: str) -> TheoremReport:
@@ -536,6 +535,15 @@ class SweepReport:
         )
 
 
+def _decision(f: Facts, theorem: Theorem, decided: dict) -> tuple[bool, bool]:
+    """Whether f meets the grouping's hypothesis, and whether its class is
+    recorded: inconsistent inside it, or outside it with a whole vector
+    (every item taken as met) that does not fit the kind."""
+    vector, consistent, met = _judged(f, theorem, decided)
+    holds = [v.holds for v in vector]
+    return met, not (consistent if met else _consistent(theorem.kind, holds, [True] * len(holds)))
+
+
 def sweep(corpus, theorem_ids=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
     :func:`~osgkit.structure.structure_key`, the canonical form at orders
@@ -548,27 +556,21 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
     each copy is its own class, decided alone), and a condition's
     ``holds`` and ``hypothesis_met`` must not depend on the labelling
     (only its witness may), as for every catalog condition.  Each class is
-    therefore decided on its first copy in corpus order, as bits with no
-    report built, and counts for every copy.  Reports are built only for
-    the groupings that record the class: on the first copy from the
-    verdicts already decided, on the other copies afresh, so each record
-    carries its own copy's report and witnesses.
+    therefore evaluated on its first copy in corpus order, and counts for
+    every copy under its verdict pattern: each needed condition function's
+    ``holds`` and each named ambient's verdict.  Each grouping is decided
+    once per pattern, with no report built, and ``hypothesis_met`` is read
+    from the pattern counts.  Reports are built only for the groupings that
+    record the class: on the first copy from the verdicts already decided,
+    on the other copies afresh, so each record carries its own copy's
+    report and witnesses.
     """
     ids = tuple(theorem_ids) if theorem_ids else tuple(THEOREMS)
     theorems = [_entry(THEOREMS, "theorem", tid) for tid in ids]
-    items = [[[_entry(CONDITIONS, "condition", cid) for cid in item] for item in t.items]
-             for t in theorems]
-    conditions = [c for t in items for item in t for c in item]
+    needed = dict.fromkeys(cid for t in theorems for item in t.items for cid in item)
+    conditions = [_entry(CONDITIONS, "condition", cid) for cid in needed]
     fns = dict.fromkeys(fn for c in conditions for fn in c.fns)
-    ambients = {t.ambient for t in theorems} | {c.ambient for c in conditions}
-    # one bit per distinct condition function and per ambient; a class
-    # sets the bits of the functions that fail and of the ambients it misses
-    bit = {x: 1 << i for i, x in enumerate([*fns, *ambients])}
-    plans = [
-        (t.kind, bit[t.ambient], [(sum({bit[fn] for c in item for fn in c.fns}),
-                                   sum({bit[c.ambient] for c in item})) for item in its])
-        for t, its in zip(theorems, items)
-    ]
+    ambients = dict.fromkeys([*(t.ambient for t in theorems), *(c.ambient for c in conditions)])
 
     keyed = []
     skipped = []
@@ -585,36 +587,32 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
 
     # class by class: a copy's fact record serves every grouping, and is
     # dropped with its class
-    met = [0] * len(ids)
+    histogram = Counter()  # verdict pattern -> copies
+    decisions = {}  # verdict pattern -> each grouping's _decision
     inconsistencies = [[] for _ in ids]
     outside = [[] for _ in ids]
     for hexkey, group in groupby(keyed, key=lambda pair: pair[0]):
         copies = [s for _, s in group]
         f = facts(copies[0])
         outcomes = {fn: fn(f) for fn in fns}
-        off = sum(bit[fn] for fn, (holds, _) in outcomes.items() if not holds)
-        off += sum(bit[a] for a in ambients if not _ambient_met(f, a))
-        recorded = []  # (grouping index, the list its records go to)
-        for k, (kind, ambient, masks) in enumerate(plans):
-            holds = [not fn_bits & off for fn_bits, _ in masks]
-            if not ambient & off:
-                met[k] += len(copies)
-                if not _consistent(kind, holds, [not ambient_bits & off
-                                                 for _, ambient_bits in masks]):
-                    recorded.append((k, inconsistencies[k]))
-            elif not _consistent(kind, holds, [True] * len(holds)):
-                recorded.append((k, outside[k]))
-        chosen = [ids[k] for k, _ in recorded]
+        pattern = (*(holds for holds, _ in outcomes.values()),
+                   *(_ambient_met(f, a) for a in ambients))
+        histogram[pattern] += len(copies)
+        if pattern not in decisions:
+            decided = {cid: _condition_verdict(f, cid, outcomes) for cid in needed}
+            decisions[pattern] = [_decision(f, t, decided) for t in theorems]
+        recorded = [(tid, incs if met else outs) for tid, incs, outs, (met, record)
+                    in zip(ids, inconsistencies, outside, decisions[pattern]) if record]
+        chosen = [tid for tid, _ in recorded]
         for i, s in enumerate(copies if chosen else ()):
-            reports = (_reports(facts(s), hexkey, chosen) if i
-                       else _reports(f, hexkey, chosen, outcomes))
+            reports = _reports(facts(s) if i else f, hexkey, chosen, {} if i else outcomes)
             for (_, records), report in zip(recorded, reports):
                 records.append(InconsistencyRecord(hexkey, s, report))
     sweeps = tuple(
         TheoremSweep(
             theorem=tid,
             checked=len(keyed),
-            hypothesis_met=met[k],
+            hypothesis_met=sum(n for p, n in histogram.items() if decisions[p][k][0]),
             inconsistent=len(inconsistencies[k]),
             inconsistencies=tuple(inconsistencies[k]),
             outside_disagreements=tuple(outside[k]),

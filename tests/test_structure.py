@@ -21,6 +21,7 @@ from osgkit.structure import (
     structure_key,
     validate,
 )
+from osgkit.theorems import check_theorem, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +304,15 @@ def test_structure_key_above_order_5_is_the_own_encoding():
     assert structure_key(chain) != structure_key(flipped)  # copies are not merged
     with pytest.raises(ValueError, match="order must be within 1..5"):
         canonical_form(chain)
+
+
+def test_structure_key_names_the_order_limit():
+    # the key's first byte is the order: a 256-element null semigroup has
+    # no key, and sweep and check_theorem say so before building anything
+    null = from_table([[0] * 256 for _ in range(256)], ())
+    for call in (structure_key, lambda s: sweep([s]), lambda s: check_theorem(s, "THM_BIG")):
+        with pytest.raises(ValueError, match=r"^order must be within 1\.\.255$"):
+            call(null)
 
 
 @given(perm=st.permutations(range(3)))

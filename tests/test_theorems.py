@@ -613,6 +613,35 @@ def test_sweep_builds_reports_only_for_records(monkeypatch, corpus_upto3_labelle
     assert {id(r) for r in built} == {id(r) for r in records}
 
 
+@pytest.mark.parametrize("corpus, structures, patterns", [
+    ("corpus_upto3_labelled", 992, 7),
+    ("corpus_order4_iso", 4753, 12),
+], ids=["upto-3-labelled", "order-4-iso"])
+def test_sweep_decides_each_grouping_once_per_pattern(
+        monkeypatch, request, corpus, structures, patterns):
+    # the classes fold into a histogram of verdict patterns; each grouping
+    # is decided once per distinct pattern, and every copy is counted
+    histograms, decisions = [], []
+
+    class Kept(theorems.Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            histograms.append(self)
+
+    def counted(f, theorem, decided, decision=theorems._decision):
+        decisions.append(theorem.id)
+        return decision(f, theorem, decided)
+
+    monkeypatch.setattr(theorems, "Counter", Kept)
+    monkeypatch.setattr(theorems, "_decision", counted)
+    report = sweep(request.getfixturevalue(corpus))
+    (histogram,) = histograms
+    assert report.structures == structures == sum(histogram.values())
+    assert len(histogram) == patterns
+    assert len(decisions) == patterns * len(THEOREMS) == patterns * 7
+    assert set(decisions) == set(THEOREMS)
+
+
 def test_non_regular_classes_have_a_sigma_class_not_group_like(
         corpus_upto3_iso, corpus_order4_iso):
     # B.2 fails on a non-regular structure without building sigma: a

@@ -59,7 +59,8 @@ class Condition:
     """A catalog condition: the functions of the ids in given, then fn,
     must hold on the record; the verdict is the first failing one's, else
     fn's.  given ids are looked up in ``CONDITIONS`` as the functions are
-    read, so a shared function is one object, decided once per record."""
+    read, so a shared function is one object, decided once per record.
+    Verdicts that hold with no witness must not depend on the labelling."""
 
     id: str
     description: str
@@ -443,15 +444,19 @@ def _judged(f: Facts, theorem: Theorem, decided: dict) -> tuple:
     return vector, _consistent(theorem.kind, holds, met), _ambient_met(f, theorem.ambient)
 
 
-def _reports(f: Facts, structure: str, theorem_ids, outcomes=None) -> list[TheoremReport]:
+def _reports(f: Facts, structure: str, theorem_ids, outcomes=None,
+             decided=None) -> list[TheoremReport]:
     """One report per grouping, in order, on the structure whose fact
     record is f and whose canonical form is structure; each condition
     function the groupings name is called once, however many ids share it,
-    and not at all if outcomes already holds its verdict on f."""
+    and not at all if outcomes already holds its verdict on f, nor an id's
+    verdict built if decided holds it.  Both dicts are filled in."""
     theorems = [_entry(THEOREMS, "theorem", tid) for tid in theorem_ids]
     needed = dict.fromkeys(cid for t in theorems for item in t.items for cid in item)
     outcomes = {} if outcomes is None else outcomes
-    decided = {cid: _condition_verdict(f, cid, outcomes) for cid in needed}
+    decided = {} if decided is None else decided
+    decided.update({cid: _condition_verdict(f, cid, outcomes)
+                    for cid in needed if cid not in decided})
     return [TheoremReport(t.id, structure, *_judged(f, t, decided)) for t in theorems]
 
 
@@ -555,15 +560,18 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
     Isomorphic copies of order at most 5 share their key (above order 5
     each copy is its own class, decided alone), and a condition's
     ``holds`` and ``hypothesis_met`` must not depend on the labelling
-    (only its witness may), as for every catalog condition.  Each class is
+    (only its witness may), nor may a verdict that holds with no witness
+    (B.2, witnessed by sigma's classes, is the one that holds with one), as
+    for every catalog condition.  Each class is
     therefore evaluated on its first copy in corpus order, and counts for
     every copy under its verdict pattern: each needed condition function's
     ``holds`` and each named ambient's verdict.  Each grouping is decided
     once per pattern, with no report built, and ``hypothesis_met`` is read
     from the pattern counts.  Reports are built only for the groupings that
-    record the class: on the first copy from the verdicts already decided,
-    on the other copies afresh, so each record carries its own copy's
-    report and witnesses.
+    record the class: on the first copy from the verdicts already decided;
+    the other copies take the first copy's verdicts that hold with no
+    witness and decide only the rest afresh, so each record carries its
+    own copy's report and witnesses.
     """
     ids = tuple(theorem_ids) if theorem_ids else tuple(THEOREMS)
     theorems = [_entry(THEOREMS, "theorem", tid) for tid in ids]
@@ -605,7 +613,13 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
                     in zip(ids, inconsistencies, outside, decisions[pattern]) if record]
         chosen = [tid for tid, _ in recorded]
         for i, s in enumerate(copies if chosen else ()):
-            reports = _reports(facts(s) if i else f, hexkey, chosen, {} if i else outcomes)
+            if not i:
+                verdicts = {}  # the first copy's condition verdicts, filled by _reports
+            elif i == 1:  # the other copies keep the verdicts that hold with no witness
+                outcomes = {fn: o for fn, o in outcomes.items() if o == (True, None)}
+                verdicts = {cid: v for cid, v in verdicts.items() if v.holds and v.witness is None}
+            reports = _reports(facts(s) if i else f, hexkey, chosen,
+                               {**outcomes} if i else outcomes, {**verdicts} if i else verdicts)
             for (_, records), report in zip(recorded, reports):
                 records.append(InconsistencyRecord(hexkey, s, report))
     sweeps = tuple(

@@ -524,6 +524,68 @@ def test_verdicts_survive_random_relabelling_at_order_4(poset, perm, data):
     assert _labelling_free_verdicts(moved) == _labelling_free_verdicts(s)
 
 
+@pytest.mark.parametrize("orders, count, classes", [
+    ((1, 2, 3), 992, 185),
+    pytest.param((4,), 107688, 4753, marks=pytest.mark.slow),
+], ids=["upto-3-labelled", "order-4-labelled"])
+def test_witness_free_verdicts_do_not_depend_on_labelling(orders, count, classes):
+    # a function that holds with no witness on one copy holds with none
+    # on every copy, so the sweep hands such verdicts from a class's first
+    # copy to the others; B.2, whose witness is sigma's classes, is the
+    # only function that holds with one
+    fns = tuple(dict.fromkeys(fn for c in CONDITIONS.values() for fn in c.fns))
+    structures, shapes, witnessed = 0, {}, set()
+    for n in orders:
+        for s in enumerate_ordered_semigroups(EnumerationOptions(n)):
+            f = facts(s)
+            outcomes = [fn(f) for fn in fns]
+            shapes.setdefault(canonical_form(s), set()).add(
+                tuple((holds, witness is None) for holds, witness in outcomes))
+            witnessed.update(fn for fn, (holds, witness) in zip(fns, outcomes)
+                             if holds and witness is not None)
+            structures += 1
+    assert (structures, len(shapes)) == (count, classes)
+    assert all(len(vectors) == 1 for vectors in shapes.values())
+    assert witnessed == {CONDITIONS["B.2"].fn}
+
+
+def test_copies_call_only_what_carries_a_witness(monkeypatch, corpus_upto3_labelled):
+    # a copy after its class's first takes every function verdict that
+    # holds with no witness from the first copy, and calls only the others
+    # on its own record
+    corpus = [s for s in corpus_upto3_labelled if s.order == 3]
+    assert len(corpus) == 971
+    first = {}
+    for s in corpus:
+        first.setdefault(canonical_form(s), s)
+    first_of = {id(s): first[canonical_form(s)] for s in corpus}
+    built, calls = [], []
+
+    def counted(s):
+        built.append(s)
+        return facts(s)
+
+    def wrapped(cid, fn):
+        def run(f):
+            calls.append((cid, f.s, fn(f)))
+            return calls[-1][2]
+        return run
+
+    with monkeypatch.context() as patched:
+        patched.setattr(theorems, "facts", counted)
+        patched.setattr(properties, "facts", counted)
+        for cid, condition in CONDITIONS.items():
+            patched.setitem(CONDITIONS, cid, replace(condition, fn=wrapped(cid, condition.fn)))
+        report = sweep(corpus)
+    assert report == sweep(corpus)
+    assert len(built) == 397
+    assert len(calls) == 4691  # 6891 when every copy called every function
+    verdict = {(cid, id(s)): outcome for cid, s, outcome in calls if first_of[id(s)] is s}
+    again = [(cid, first_of[id(s)]) for cid, s, _ in calls if first_of[id(s)] is not s]
+    assert again
+    assert all(verdict[cid, id(s)] != (True, None) for cid, s in again)
+
+
 def _full_vector_disagrees(report, kind) -> bool:
     """The outside-hypothesis test, written out: every item of the vector
     counts, inside its hypothesis or not."""
@@ -553,14 +615,18 @@ MUTANTS = {
     "catalog": None,
     "L4.1-up-to-equality": ("L4.1", _l4_1_up_to_equality, "LEM_4"),
     "T35.2-never": ("T35.2", lambda f: (False, (0,)), "THM_3_5"),
+    # every inverse, completely regular copy is recorded, each with its own
+    # sigma as B.2's witness, which no copy may take from its class's first
+    "B.3-never": ("B.3", lambda f: (False, (0, 0)), "THM_BIG"),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_sweep_equals_checking_every_copy(monkeypatch, corpus_upto3_labelled, mutant):
-    # the sweep decides each class from verdict bits; every count and
-    # record must equal what checking every copy's full report gives, with
-    # the catalog as it stands and with mutants that make it inconsistent
+    # the sweep decides each grouping once per verdict pattern and builds
+    # reports only for printed records; every count and record must equal
+    # what checking every copy's full report gives, with the catalog as it
+    # stands and with mutants that make it inconsistent
     if MUTANTS[mutant]:
         cid, fn, broken = MUTANTS[mutant]
         monkeypatch.setitem(CONDITIONS, cid, replace(CONDITIONS[cid], fn=fn))
@@ -597,8 +663,9 @@ def test_sweep_equals_checking_every_copy(monkeypatch, corpus_upto3_labelled, mu
 
 
 def test_sweep_builds_reports_only_for_records(monkeypatch, corpus_upto3_labelled):
-    # the classes are decided as bits; a report is built for a printed
-    # record only, once (the first copy's reuses the verdicts decided)
+    # the classes are decided by verdict pattern; a report is built for a
+    # printed record only, once (the first copy's reuses the verdicts
+    # decided, and the other copies its verdicts that hold with no witness)
     built = []
 
     def counted(*args, report=theorems.TheoremReport, **kwargs):

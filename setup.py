@@ -1,5 +1,3 @@
-import os
-
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
@@ -21,8 +19,6 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
-    if os.environ.get("OSGKIT_NO_EXT"):
-        return []
     # one hand-written C source, compiled by the system compiler
     return [Extension("osgkit._kernel", ["src/osgkit/_kernelmodule.c"])]
 

@@ -13,11 +13,9 @@ import argparse
 import json
 import sys
 
-from osgkit import oracles
+from osgkit import kernel, oracles
 from osgkit.enumeration import (
     ASSOC_TABLE_COUNTS,
-    DEFAULT_MAX_ORDER,
-    HARD_MAX_ORDER,
     POSET_COUNTS,
     EnumerationOptions,
     check_shard,
@@ -43,6 +41,10 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
+# enumerate and check-theorems stop at this order unless --unlock-order-5
+# raises the cap to the kernel's
+DEFAULT_MAX_ORDER = 4
+
 
 class CliError(Exception):
     """Usage or input problem; converted to exit code 2."""
@@ -57,82 +59,37 @@ def _names_tuple(names, indices):
     )
 
 
-def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
+def _read_text(path: str) -> str:
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
+    text = _read_text(path)
     try:
-        s, names = parse_named_structure(text)
+        return parse_named_structure(text)
     except StructureParseError as exc:
         raise CliError(f"{path}: {exc}") from None
-    return s, names
 
 
-def _write_json(doc, out, batch: int = 4096) -> None:
-    """Write doc to out in the bytes of ``json.dumps(doc, indent=2) + "\\n"``,
-    in writes of about ``batch`` pieces, so the document is never held
-    whole.  doc holds dicts with str keys, lists, tuples, str, int, bool
-    and None; any other value raises TypeError."""
-    escape = json.encoder.encode_basestring_ascii
-    pieces: list[str] = []
-    append = pieces.append
-    newlines = ["\n"]  # newlines[d] breaks a line and indents it to depth d
-
-    def flush():
-        out.write("".join(pieces))
-        pieces.clear()
-
-    def container(o, depth):
-        if len(newlines) == depth + 1:
-            newlines.append(newlines[depth] + "  ")
-        inner = newlines[depth + 1]
-        if isinstance(o, dict):
-            sep, close = "{" + inner, "}"
-            for key, item in o.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                append(sep + escape(key) + ": ")
-                sep = "," + inner
-                value(item, depth + 1)
-                if len(pieces) >= batch:
-                    flush()
-        else:
-            sep, close = "[" + inner, "]"
-            for item in o:
-                append(sep)
-                sep = "," + inner
-                value(item, depth + 1)
-                if len(pieces) >= batch:
-                    flush()
-        append(newlines[depth] + close)
-
-    def value(o, depth):
-        if isinstance(o, str):
-            append(escape(o))
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        elif not isinstance(o, (dict, list, tuple)):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        elif o:
-            container(o, depth)
-        else:
-            append("{}" if isinstance(o, dict) else "[]")
-
-    value(doc, 0)
-    append("\n")
-    flush()
+def _write_json(doc, out) -> None:
+    """Write doc to out as ``json.dumps(doc) + "\\n"``.  Its last key is
+    ``findings``, written one finding at a time, so the text is never held
+    whole."""
+    out.write(json.dumps({**doc, "findings": []})[:-2])
+    sep = ""
+    for finding in doc["findings"]:
+        out.write(sep + json.dumps(finding))
+        sep = ", "
+    out.write("]}\n")
 
 
 def _emit(report: dict, fmt: str, render, out) -> None:
-    """Write report to out: as JSON, through :func:`_write_json`, or as
-    text, through render."""
+    """Write report to out: as unindented JSON, one finding at a time, through
+    :func:`_write_json`, or as text, through render."""
     if fmt == "json":
         _write_json(report, out)
     else:
@@ -335,18 +292,17 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 def _options_from_args(args, mode: str) -> EnumerationOptions:
     shard = _parse_shard(args.shard) if getattr(args, "shard", None) else None
-    limit = HARD_MAX_ORDER if getattr(args, "unlock_order_5", False) else DEFAULT_MAX_ORDER
-    if limit < args.order <= HARD_MAX_ORDER:
-        raise CliError(
-            f"order must be within 1..{limit} (pass --unlock-order-5 to go further)"
-        )
+    limit = kernel.MAX_ORDER if getattr(args, "unlock_order_5", False) else DEFAULT_MAX_ORDER
+    if limit < args.order <= kernel.MAX_ORDER:
+        raise CliError(f"order must be within 1..{limit} (pass --unlock-order-5 to go further)")
+    if not 1 <= args.order <= limit:
+        raise CliError(f"order must be within 1..{limit}")
     try:
         return EnumerationOptions(
             order=args.order,
             mode=mode,
             filters=tuple(getattr(args, "filter", None) or ()),
             shard=shard,
-            order_limit=limit,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -442,10 +398,7 @@ def _cmd_check_theorems(args, out) -> int:
 
     candidates = None
     if args.corpus:
-        try:
-            text = open(args.corpus, encoding="utf-8").read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.corpus}: {exc}") from None
+        text = _read_text(args.corpus)
         try:
             corpus = read_corpus(text)
         except StructureParseError as exc:

@@ -31,9 +31,6 @@ from osgkit.structure import (
     parse_structure,
 )
 
-DEFAULT_MAX_ORDER = 4
-HARD_MAX_ORDER = kernel.MAX_ORDER
-
 MODES = ("labelled", "up_to_iso")
 
 # Associative tables on n labelled points (OEIS A023814); the tests check
@@ -51,18 +48,12 @@ class EnumerationOptions:
     mode: str = "labelled"
     filters: tuple[str, ...] = ()
     shard: tuple[int, int] | None = None
-    order_limit: int = DEFAULT_MAX_ORDER
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        limit = min(self.order_limit, HARD_MAX_ORDER)
-        if not 1 <= self.order <= limit:
-            hint = (
-                f" (raise order_limit up to {HARD_MAX_ORDER} to go further)"
-                if limit < self.order <= HARD_MAX_ORDER else ""
-            )
-            raise ValueError(f"order must be within 1..{limit}{hint}")
+        if not 1 <= self.order <= kernel.MAX_ORDER:
+            raise ValueError(f"order must be within 1..{kernel.MAX_ORDER}")
         check_shard(self.shard)
 
 
@@ -109,8 +100,8 @@ def enumerate_partial_orders(n: int) -> list[tuple[tuple[bool, ...], ...]]:
     Each unordered pair is incomparable, upward, or downward (3 states);
     candidates are filtered by a transitivity scan.
     """
-    if not 1 <= n <= HARD_MAX_ORDER:
-        raise ValueError(f"order must be within 1..{HARD_MAX_ORDER}")
+    if not 1 <= n <= kernel.MAX_ORDER:
+        raise ValueError(f"order must be within 1..{kernel.MAX_ORDER}")
     pairs = list(combinations(range(n), 2))
     out = []
     states = [0] * len(pairs)

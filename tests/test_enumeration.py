@@ -27,14 +27,11 @@ from osgkit.structure import StructureParseError, canonical_form, validate
 
 
 def test_options_validate_order_range():
-    # the hint to raise order_limit only where raising it would help
-    with pytest.raises(ValueError, match=r"^order must be within 1\.\.4$"):
-        EnumerationOptions(0)
-    with pytest.raises(ValueError, match=r"\(raise order_limit up to 5 to go further\)$"):
-        EnumerationOptions(5)  # needs the explicit limit raise
-    EnumerationOptions(5, order_limit=5)
-    with pytest.raises(ValueError, match=r"^order must be within 1\.\.5$"):
-        EnumerationOptions(6, order_limit=9)  # hard cap
+    # the kernel's orders; the order-5 opt-in is the CLI's
+    for order in (0, 6):
+        with pytest.raises(ValueError, match=r"^order must be within 1\.\.5$"):
+            EnumerationOptions(order)
+    EnumerationOptions(5)
 
 
 def test_options_validate_shard():
@@ -80,9 +77,8 @@ def test_semigroup_counts_small():
 
 
 def _semigroup_counts(n):
-    labelled = sum(1 for _ in enumerate_semigroups(EnumerationOptions(n, order_limit=n)))
-    iso = sum(1 for _ in enumerate_semigroups(
-        EnumerationOptions(n, mode="up_to_iso", order_limit=n)))
+    labelled = sum(1 for _ in enumerate_semigroups(EnumerationOptions(n)))
+    iso = sum(1 for _ in enumerate_semigroups(EnumerationOptions(n, mode="up_to_iso")))
     return labelled, iso
 
 
@@ -277,7 +273,7 @@ def test_labelled_corpora_are_frozen(backend, n, sha256):
 @pytest.mark.slow
 @pytest.mark.parametrize("backend", ["c"], indirect=True)
 def test_order_5_up_to_iso_class_count(backend):
-    opts = EnumerationOptions(5, mode="up_to_iso", order_limit=5)
+    opts = EnumerationOptions(5, mode="up_to_iso")
     sink = io.StringIO()
     assert write_corpus(sink, enumerate_ordered_semigroups(opts), opts) == 198838
     # the corpus that `enumerate --order 5 --up-to-iso --unlock-order-5 --out` writes

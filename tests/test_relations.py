@@ -248,7 +248,7 @@ def test_group_like_decomposition_is_the_least_congruence(backend, orders, expec
 
     classes = 0
     for n in orders:
-        opts = EnumerationOptions(n, mode="up_to_iso", order_limit=5)
+        opts = EnumerationOptions(n, mode="up_to_iso")
         for s in enumerate_ordered_semigroups(opts):
             classes += 1
             sigma = least_complete_semilattice_congruence(s)

@@ -224,7 +224,7 @@ def least_ideal(s, side, candidates):
 def check_simple_witnesses(orders):
     for n in orders:
         candidates = sorted(range(1, (1 << n) - 1), key=lambda m: (bin(m).count("1"), m))
-        options = EnumerationOptions(n, mode="up_to_iso", order_limit=n)
+        options = EnumerationOptions(n, mode="up_to_iso")
         for s in enumerate_ordered_semigroups(options):
             for side in SIDES:
                 verdict = is_simple(s, side)

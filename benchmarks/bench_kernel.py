@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-Times the two kernel functions at a chosen order on both backends and
-prints a comparison table.  The table search is timed three times: over the
-discrete order (the associative tables), over every labelled poset (the
-plain search, which the tests keep as the reference for the labelled
-stream) and, keeping the least table of each orbit under the poset's
-automorphisms, over one poset per isomorphism class (the search behind
-enumeration in both modes: one table per class).
+Times the three kernel entry points at a chosen order on both backends
+and prints a comparison table.  The table search is timed three times:
+over the discrete order (the associative tables), over every labelled
+poset (the plain search, which the tests keep as the reference for the
+labelled stream) and, keeping the least table of each orbit under the
+poset's automorphisms, over one poset per isomorphism class (the search
+behind enumeration in both modes: one table per class).  Fact rows are
+timed over those classes, one record each, as a sweep builds them.
 
 Usage:
     python benchmarks/bench_kernel.py [--order N] [--repeat K]
@@ -49,11 +50,13 @@ def bench(backend, n, repeat):
     elapsed, tables = best_of(repeat, backend.enumerate_valid_tables, n, discrete)
     rows.append((f"assoc tables n={n} ({len(tables)} found)", elapsed))
 
+    def flat(rel):
+        return bytes(1 if rel[i][j] else 0 for i in range(n) for j in range(n))
+
     def over(posets, orbit_minimal=False):
         total = 0
         for rel in posets:
-            leq = bytes(1 if rel[i][j] else 0 for i in range(n) for j in range(n))
-            total += len(backend.enumerate_valid_tables(n, leq, orbit_minimal=orbit_minimal))
+            total += len(backend.enumerate_valid_tables(n, flat(rel), orbit_minimal=orbit_minimal))
         return total
 
     posets = enumerate_partial_orders(n)
@@ -71,6 +74,18 @@ def bench(backend, n, repeat):
 
     elapsed, _ = best_of(repeat, canonical_all)
     rows.append((f"canonical keys for {len(tables)} tables", elapsed))
+
+    structures = [
+        (table, leq)
+        for leq in map(flat, classes)
+        for table in backend.enumerate_valid_tables(n, leq, orbit_minimal=True)
+    ]
+
+    def fact_rows_all():
+        return [backend.fact_rows(table, leq, n) for table, leq in structures]
+
+    elapsed, _ = best_of(repeat, fact_rows_all)
+    rows.append((f"fact rows for {len(structures)} classes", elapsed))
 
     return rows
 

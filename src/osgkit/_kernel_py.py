@@ -1,6 +1,6 @@
-"""Pure-Python reference implementation of the hot enumeration kernels:
-the table search, optionally up to the order's automorphisms, and
-canonical keys.
+"""Pure-Python reference implementation of the three kernel entry points:
+the table search, optionally up to the order's automorphisms, canonical
+keys, and the fact rows that the catalog conditions read.
 
 Same contract as the compiled module ``osgkit._kernel`` (built from
 ``_kernelmodule.c``): tables travel as row-major bytes, orders stay within
@@ -177,3 +177,119 @@ def canonical_key(mult: bytes, leq: bytes, n: int) -> bytes:
         if best is None or enc < best:
             best = enc
     return bytes([n]) + best
+
+
+def _mask(elements) -> int:
+    bits = 0
+    for v in elements:
+        bits |= 1 << v
+    return bits
+
+
+def _union(masks, bits: int) -> int:
+    """The union of masks[v] over the members v of bits."""
+    out = 0
+    for v, mask in enumerate(masks):
+        if bits >> v & 1:
+            out |= mask
+    return out
+
+
+def _classes(keys) -> tuple[int, ...]:
+    """For each element, the mask of the elements with an equal key."""
+    members: dict = {}
+    for b, key in enumerate(keys):
+        members[key] = members.get(key, 0) | 1 << b
+    return tuple([members[key] for key in keys])
+
+
+def fact_rows(mult: bytes, leq: bytes, n: int) -> tuple:
+    """One table's fact record, each subset of the carrier an int mask
+    with bit v for element v, as the tuple (up, down, row, col, pxq, inv,
+    inv_mask, idem, idem_mask, not_regular, not_completely_regular, L, R,
+    J, H, hc, filters); ``osgkit.properties.Facts`` names each field.
+    Products keep the bracketing of their definitions, so the record is
+    defined for any table, associative or not, under any relation."""
+    _check(n, leq, mult)
+    return _fact_rows(mult, leq, n)
+
+
+def _fact_rows(mult, leq, n: int) -> tuple:
+    """:func:`fact_rows` with no checks, on any flat row-major sequences of
+    ints at any order: the builder for structures above MAX_ORDER."""
+    span = range(n)
+    m = [mult[a * n : a * n + n] for a in span]
+    up, down, row, col = [0] * n, [0] * n, [0] * n, [0] * n
+    for a in span:
+        for b in span:
+            if leq[a * n + b]:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+            row[a] |= 1 << m[a][b]
+            col[b] |= 1 << m[a][b]
+    pxq = []  # pxq[p][q] = {(p*x)*q : x}, read over the distinct products p*x
+    for p in span:
+        sets = [0] * n
+        for z in set(m[p]):
+            for q, zq in enumerate(m[z]):
+                sets[q] |= 1 << zq
+        pxq.append(tuple(sets))
+    pxq = tuple(pxq)
+    inv = tuple(
+        tuple([b for b in span if leq[a * n + m[m[a][b]][a]] and leq[b * n + m[m[b][a]][b]]])
+        for a in span
+    )
+    idem = tuple([e for e in span if leq[e * n + m[e][e]]])
+    sq = [m[a][a] for a in span]
+
+    # principal ideals (a + Sa], (a + aS] and (a + Sa + aS + SaS]; equal
+    # ideals make Green's L, R and J, and H is L and R together
+    left = [_union(down, 1 << a | col[a]) for a in span]
+    right = [_union(down, 1 << a | row[a]) for a in span]
+    two = [_union(down, 1 << a | col[a] | row[a] | _union(col, row[a])) for a in span]
+    greens = [_classes(ideal) for ideal in (left, right, two)]
+    h = tuple([lc & rc for lc, rc in zip(greens[0], greens[1])])
+    hc = tuple(
+        _mask([b for b in span if pxq[b][a] & up[m[a][b]] and pxq[a][b] & up[m[b][a]]])
+        for a in span
+    )
+    return (
+        tuple(up), tuple(down), tuple(row), tuple(col), pxq, inv, tuple(map(_mask, inv)),
+        idem, _mask(idem),
+        next((a for a in span if not pxq[a][a] & up[a]), None),
+        next((a for a in span if not pxq[sq[a]][sq[a]] & up[a]), None),
+        *greens, h, hc, _least_filters(m, up),
+    )
+
+
+def _least_filters(m, up) -> tuple[int, ...]:
+    """The least filter containing each element, the classes of sigma
+    by equality (N. Kehayopulu, "Remark on ordered semigroups", Math.
+    Japonica 35, 1990: x N y when the least filters containing x and y
+    are equal, and N is the least complete semilattice congruence).
+
+    A filter is a subsemigroup F such that a*b in F puts a and b in F,
+    and a in F, a <= b puts b in F.  The least filter containing x grows
+    from {x}: each element v that joins brings in the elements above it,
+    up[v], its factors, factors[v] (every a and b with a*b = v), and its
+    products with the members so far, until nothing new joins.
+    """
+    n = len(m)
+    factors = [0] * n
+    for a, r in enumerate(m):
+        for b, ab in enumerate(r):
+            factors[ab] |= 1 << a | 1 << b
+    filters = []
+    for x in range(n):
+        f, members, todo = 0, [], 1 << x
+        while todo:  # todo holds the elements that join and are not yet in f
+            v = (todo & -todo).bit_length() - 1
+            todo ^= 1 << v
+            f |= 1 << v
+            members.append(v)
+            grown = up[v] | factors[v]
+            for w in members:
+                grown |= 1 << m[v][w] | 1 << m[w][v]
+            todo |= grown & ~f
+        filters.append(f)
+    return tuple(filters)

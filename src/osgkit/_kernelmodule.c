@@ -1,10 +1,11 @@
-/* Compiled enumeration kernels, module osgkit._kernel: the table search
- * and canonical keys.
+/* Compiled kernels, module osgkit._kernel, with three entry points: the
+ * table search, canonical keys, and the fact rows of one structure.
  *
  * Same contract as the pure-Python reference osgkit._kernel_py: tables
  * travel as row-major bytes and orders are capped at MAX_ORDER = 5, so
- * fixed buffers of 25 cells, and the at most 5! - 1 automorphisms of an
- * order, fit on the stack.  Every argument is checked before it is read.
+ * fixed buffers of 25 cells, the at most 5! - 1 automorphisms of an
+ * order, and one subset of the carrier per bit mask fit on the stack.
+ * Every argument is checked before it is read.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -304,6 +305,212 @@ canonical_key(PyObject *self, PyObject *args, PyObject *kwargs)
     return PyBytes_FromStringAndSize((char *)key, 1 + 2 * size);
 }
 
+/* A subset of the carrier: bit v is set for element v. */
+typedef unsigned int mask_t;
+
+/* The union of masks[v] over the members v of bits. */
+static mask_t
+union_of(const mask_t *masks, mask_t bits, int n)
+{
+    mask_t out = 0;
+
+    for (int v = 0; v < n; v++)
+        if (bits >> v & 1)
+            out |= masks[v];
+    return out;
+}
+
+/* For each a, the elements b with key[b] == key[a]: a's class. */
+static void
+classes_of(const mask_t *key, mask_t *cls, int n)
+{
+    for (int a = 0; a < n; a++) {
+        cls[a] = 0;
+        for (int b = 0; b < n; b++)
+            if (key[b] == key[a])
+                cls[a] |= 1u << b;
+    }
+}
+
+/* The members of bits, ascending, as a tuple of ints. */
+static PyObject *
+members(mask_t bits, int n)
+{
+    int count = 0;
+
+    for (int v = 0; v < n; v++)
+        count += bits >> v & 1;
+    PyObject *out = PyTuple_New(count);
+    for (int v = 0, k = 0; out != NULL && v < n; v++) {
+        if (bits >> v & 1) {
+            PyObject *item = PyLong_FromLong(v);
+            if (item == NULL)
+                Py_CLEAR(out);
+            else
+                PyTuple_SET_ITEM(out, k++, item);
+        }
+    }
+    return out;
+}
+
+/* count masks as a tuple of ints. */
+static PyObject *
+mask_tuple(const mask_t *masks, int count)
+{
+    PyObject *out = PyTuple_New(count);
+
+    for (int k = 0; out != NULL && k < count; k++) {
+        PyObject *item = PyLong_FromUnsignedLong(masks[k]);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, item);
+    }
+    return out;
+}
+
+/* The least element a with !(hit[a] & up[a]), or None. */
+static PyObject *
+first_miss(const mask_t *hit, const mask_t *up, int n)
+{
+    for (int a = 0; a < n; a++)
+        if (!(hit[a] & up[a]))
+            return PyLong_FromLong(a);
+    Py_RETURN_NONE;
+}
+
+#define FACT_FIELDS 17
+
+/* The fact record of one table as the tuple (up, down, row, col, pxq, inv,
+ * inv_mask, idem, idem_mask, not_regular, not_completely_regular, L, R, J,
+ * H, hc, filters), each subset a mask; _kernel_py.fact_rows is the
+ * reference.  Products keep the bracketing of their definitions. */
+static PyObject *
+fact_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"mult", "leq", "n", NULL};
+    table_t m, leq;
+    Py_ssize_t mlen, llen;
+    int n;
+    mask_t up[MAX_ORDER] = {0}, down[MAX_ORDER] = {0}, row[MAX_ORDER] = {0},
+        col[MAX_ORDER] = {0}, pxq[MAX_ORDER][MAX_ORDER], inv[MAX_ORDER],
+        idem = 0, diag[MAX_ORDER], sqdiag[MAX_ORDER], ideal[3][MAX_ORDER],
+        green[4][MAX_ORDER], hc[MAX_ORDER], factors[MAX_ORDER] = {0},
+        filters[MAX_ORDER];
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#y#i", kwlist,
+                                     &m, &mlen, &leq, &llen, &n)
+        || check_order(n) < 0 || check_mult(m, mlen, n) < 0
+        || check_size("leq", llen, n) < 0)
+        return NULL;
+
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++) {
+            if (leq[a * n + b]) {
+                up[a] |= 1u << b;
+                down[b] |= 1u << a;
+            }
+            row[a] |= 1u << m[a * n + b];
+            col[b] |= 1u << m[a * n + b];
+            factors[m[a * n + b]] |= 1u << a | 1u << b;
+        }
+    for (int p = 0; p < n; p++)  /* pxq[p][q] = {(p*x)*q : x} */
+        for (int q = 0; q < n; q++) {
+            pxq[p][q] = 0;
+            for (int z = 0; z < n; z++)
+                if (row[p] >> z & 1)
+                    pxq[p][q] |= 1u << m[z * n + q];
+        }
+    for (int a = 0; a < n; a++) {
+        int aa = m[a * n + a];
+        inv[a] = 0;
+        for (int b = 0; b < n; b++)
+            if (leq[a * n + m[m[a * n + b] * n + a]]
+                && leq[b * n + m[m[b * n + a] * n + b]])
+                inv[a] |= 1u << b;
+        if (leq[a * n + aa])
+            idem |= 1u << a;
+        diag[a] = pxq[a][a];
+        sqdiag[a] = pxq[aa][aa];
+        /* principal ideals (a + Sa], (a + aS] and (a + Sa + aS + SaS] */
+        ideal[0][a] = union_of(down, 1u << a | col[a], n);
+        ideal[1][a] = union_of(down, 1u << a | row[a], n);
+        ideal[2][a] = union_of(down, 1u << a | col[a] | row[a]
+                               | union_of(col, row[a], n), n);
+    }
+    for (int k = 0; k < 3; k++)  /* equal ideals: L, R and J */
+        classes_of(ideal[k], green[k], n);
+    for (int a = 0; a < n; a++) {
+        green[3][a] = green[0][a] & green[1][a];  /* H */
+        hc[a] = 0;
+        for (int b = 0; b < n; b++)
+            if (pxq[b][a] & up[m[a * n + b]] && pxq[a][b] & up[m[b * n + a]])
+                hc[a] |= 1u << b;
+        /* the least filter containing a: close {a} under up, factors and
+         * products of members */
+        mask_t f = 1u << a, grown;
+        for (;;) {
+            grown = f;
+            for (int v = 0; v < n; v++) {
+                if (!(f >> v & 1))
+                    continue;
+                grown |= up[v] | factors[v];
+                for (int w = 0; w < n; w++)
+                    if (f >> w & 1)
+                        grown |= 1u << m[v * n + w] | 1u << m[w * n + v];
+            }
+            if (grown == f)
+                break;
+            f = grown;
+        }
+        filters[a] = f;
+    }
+
+    PyObject *rec = PyTuple_New(FACT_FIELDS), *item;
+    int k = 0;
+#define PUT(expr) \
+    do { \
+        if ((item = (expr)) == NULL) \
+            goto fail; \
+        PyTuple_SET_ITEM(rec, k++, item); \
+    } while (0)
+
+    if (rec == NULL)
+        return NULL;
+    PUT(mask_tuple(up, n));
+    PUT(mask_tuple(down, n));
+    PUT(mask_tuple(row, n));
+    PUT(mask_tuple(col, n));
+    PUT(PyTuple_New(n));
+    for (int p = 0; p < n; p++) {
+        PyObject *r = mask_tuple(pxq[p], n);
+        if (r == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(item, p, r);
+    }
+    PUT(PyTuple_New(n));
+    for (int a = 0; a < n; a++) {
+        PyObject *r = members(inv[a], n);
+        if (r == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(item, a, r);
+    }
+    PUT(mask_tuple(inv, n));
+    PUT(members(idem, n));
+    PUT(PyLong_FromUnsignedLong(idem));
+    PUT(first_miss(diag, up, n));
+    PUT(first_miss(sqdiag, up, n));
+    for (int r = 0; r < 4; r++)
+        PUT(mask_tuple(green[r], n));
+    PUT(mask_tuple(hc, n));
+    PUT(mask_tuple(filters, n));
+#undef PUT
+    return rec;
+fail:
+    Py_DECREF(rec);
+    return NULL;
+}
+
 #define METHOD(name, doc) \
     {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
 
@@ -314,12 +521,14 @@ static PyMethodDef kernel_methods[] = {
            "order's automorphisms."),
     METHOD(canonical_key,
            "Minimum over relabelings of order byte + mult table + leq matrix."),
+    METHOD(fact_rows,
+           "One table's fact record, each subset of the carrier an int mask."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "Compiled enumeration kernels; contract mirrored by osgkit._kernel_py.",
+    "Compiled kernels; contract mirrored by osgkit._kernel_py.",
     0, kernel_methods,
 };
 

@@ -75,15 +75,34 @@ def _read_structure(path: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
         raise CliError(f"{path}: {exc}") from None
 
 
+# the record lists of a theorem_sweep finding, and the most records that
+# one json.dumps call encodes
+RECORD_LISTS = ("inconsistencies", "outside_hypothesis_disagreements")
+RECORD_SLICE = 1024
+
+
 def _write_json(doc, out) -> None:
     """Write doc to out as ``json.dumps(doc) + "\\n"``.  Its last key is
-    ``findings``, written one finding at a time, so the text is never held
-    whole."""
+    ``findings``, written one finding at a time, and a finding's record
+    lists in slices of RECORD_SLICE records, so neither the text nor the
+    text of one finding is ever held whole."""
     out.write(json.dumps({**doc, "findings": []})[:-2])
-    sep = ""
-    for finding in doc["findings"]:
-        out.write(sep + json.dumps(finding))
-        sep = ", "
+    for i, finding in enumerate(doc["findings"]):
+        out.write(", " if i else "")
+        if not (isinstance(finding, dict) and all(isinstance(key, str) for key in finding)
+                and any(isinstance(finding.get(key), (list, tuple)) for key in RECORD_LISTS)):
+            out.write(json.dumps(finding))
+            continue
+        for j, (key, value) in enumerate(finding.items()):
+            out.write(f"{', ' if j else '{'}{json.dumps(key)}: ")
+            if key in RECORD_LISTS and isinstance(value, (list, tuple)):
+                out.write("[")
+                for k in range(0, len(value), RECORD_SLICE):
+                    out.write((", " if k else "") + json.dumps(value[k : k + RECORD_SLICE])[1:-1])
+                out.write("]")
+            else:
+                out.write(json.dumps(value))
+        out.write("}")
     out.write("]}\n")
 
 

@@ -25,6 +25,7 @@ from osgkit import kernel
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
+    content_lines,
     default_names,
     format_structure,
     from_flat,
@@ -274,18 +275,13 @@ def _header_count(text: str) -> int | None:
 def read_corpus(text: str) -> list[OrderedSemigroup]:
     """Parse a corpus file; a ``# count:`` header, when present, must match
     the number of records, so a truncated corpus is rejected."""
-    records: list[list[str]] = [[]]
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped == RECORD_SEPARATOR:
+    records: list[list] = [[]]  # each record's content lines, as the file numbers them
+    for line in content_lines(text):
+        if line[1] == [RECORD_SEPARATOR]:
             records.append([])
         else:
-            records[-1].append(raw)
-    structures = [
-        parse_structure("\n".join(chunk))
-        for chunk in records
-        if any(line.split("#", 1)[0].strip() for line in chunk)
-    ]
+            records[-1].append(line)
+    structures = [parse_structure(lines) for lines in records if lines]
     expected = _header_count(text)
     if expected is not None and expected != len(structures):
         raise StructureParseError(

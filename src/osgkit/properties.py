@@ -3,25 +3,47 @@ regularity variants, group-likeness, H-commutativity, inverse deciders,
 and H-unique idempotent generation.
 
 Each structure's facts are computed once, as int bit masks, into an
-immutable :class:`Facts` record built by :func:`facts`; the deciders
-below are adapters over it, and the catalog conditions of
-:mod:`osgkit.theorems` read it directly.  Every decider returns a
-:class:`PropertyReport` whose witness is the lexicographically least
-violating tuple, so reports are reproducible.
+immutable :class:`Facts` record built by :func:`facts` from the kernel's
+fact rows; the deciders below are adapters over it, and the catalog
+conditions of :mod:`osgkit.theorems` read it directly.  Every decider
+returns a :class:`PropertyReport` whose witness is the lexicographically
+least violating tuple, so reports are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
-from osgkit.relations import GreensRelations, Partition, filter_relation, greens_from_ideals
+from osgkit import kernel
+from osgkit.relations import GreensRelations, Partition
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import bit_mask, ideal_masks, table_masks
 
 REGULARITY_KINDS = ("regular", "completely_regular", "right_regular", "left_regular")
 GROUP_LIKE_KINDS = ("two_sided", "left", "right")
 GENERATOR_SIDES = ("left", "right")
+
+
+def bit_mask(elements) -> int:
+    bits = 0
+    for v in elements:
+        bits |= 1 << v
+    return bits
+
+
+def union_of(masks, bits: int) -> int:
+    """The union of masks[v] over the members v of bits."""
+    out = 0
+    for v, mask in enumerate(masks):
+        if bits >> v & 1:
+            out |= mask
+    return out
+
+
+def lowest(bits: int) -> int:
+    """The least member of a nonempty mask."""
+    return (bits & -bits).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -42,8 +64,15 @@ class Facts:
     lists the inverses of a ascending, inv_mask[a] as a mask; idem and
     idem_mask are the ordered idempotents.  not_regular and
     not_completely_regular are the least element outside (aSa], resp.
-    (a2Sa2], or None.  Green's relations and sigma are built from these
-    masks on first read, so the deciders that need neither skip them.
+    (a2Sa2], or None.
+
+    The rest are rows, one mask per element a.  L[a], R[a], J[a] and H[a]
+    hold a's class of each Green's relation, so a and b are related
+    exactly when b is in a's row, or when their rows are equal; hc[a]
+    holds the elements H-commutative with a; filters[a] is the least
+    filter containing a, and sigma relates the elements whose filters are
+    equal.  The partitions ``greens`` and ``sigma`` are built from the
+    rows on first read.
     """
 
     s: OrderedSemigroup
@@ -60,14 +89,20 @@ class Facts:
     idem_mask: int
     not_regular: int | None
     not_completely_regular: int | None
+    L: tuple[int, ...]
+    R: tuple[int, ...]
+    J: tuple[int, ...]
+    H: tuple[int, ...]
+    hc: tuple[int, ...]
+    filters: tuple[int, ...]
 
     @cached_property
     def greens(self) -> GreensRelations:
-        return greens_from_ideals(*ideal_masks(self.down, self.row, self.col))
+        return GreensRelations(*map(Partition.from_labels, (self.L, self.R, self.J, self.H)))
 
     @cached_property
     def sigma(self) -> Partition:
-        return filter_relation(self.mult, self.up)
+        return Partition.from_labels(self.filters)
 
     def regularity(self, kind: str) -> PropertyReport:
         if kind == "regular":
@@ -111,8 +146,7 @@ class Facts:
         )
 
     def h_commutes(self, a: int, b: int) -> bool:
-        mult, up, pxq = self.mult, self.up, self.pxq
-        return bool(pxq[b][a] & up[mult[a][b]]) and bool(pxq[a][b] & up[mult[b][a]])
+        return bool(self.hc[a] >> b & 1)
 
     def inverse(self) -> PropertyReport:
         if self.not_regular is not None:
@@ -122,66 +156,46 @@ class Facts:
 
     def inverses_h_related(self, elements):
         """(holds, witness): any two inverses of each a in elements share
-        an H-class; a failing witness is the first such (a, b, c) in the
-        scan order of :meth:`inverses_pairwise_related`, where b is the
-        least inverse of a."""
-        h = self.greens.H.class_of
+        an H-class; a failing witness is the first (a, b, c) with b and c
+        inverses of a not H-related, scanning b and then c ascending."""
         for a in elements:
-            inv = self.inv[a]
-            for c in inv[1:]:
-                if h[c] != h[inv[0]]:
-                    return False, (a, inv[0], c)
-        return True, None
-
-    def inverses_pairwise_related(self, elements, related):
-        """(holds, witness): related(b, c) for any two inverses b, c of
-        each a in elements; a failing witness is the first such (a, b, c)."""
-        for a in elements:
-            inv = self.inv[a]
-            for b in inv:
-                for c in inv:
-                    if not related(b, c):
-                        return False, (a, b, c)
+            others = self.inv_mask[a]
+            if others:
+                b = lowest(others)
+                stray = others & ~self.H[b]
+                if stray:
+                    return False, (a, b, lowest(stray))
         return True, None
 
     def generator_uniqueness(self, side: str) -> PropertyReport:
         prop = f"generator_uniqueness_{side}"
         # principal ideals of the side are equal exactly when their
         # generators are L- (left) or R- (right) related
-        greens = self.greens
-        same_ideal = greens.L if side == "left" else greens.R
-        idem, same, h = self.idem, same_ideal.class_of, greens.H.class_of
-        idem_classes = {same[e] for e in idem}
-        for a in range(self.n):
-            if same[a] not in idem_classes:
-                return PropertyReport(prop, False, (a,), notes="no idempotent generator")
-        for e in idem:
-            for f in idem:
-                if same[e] == same[f] and h[e] != h[f]:
-                    return PropertyReport(prop, False, (e, f), notes="generators not H-related")
+        same = self.L if side == "left" else self.R
+        missing = ((1 << self.n) - 1) & ~union_of(same, self.idem_mask)
+        if missing:
+            return PropertyReport(prop, False, (lowest(missing),), notes="no idempotent generator")
+        for e in self.idem:
+            stray = self.idem_mask & same[e] & ~self.H[e]
+            if stray:
+                return PropertyReport(prop, False, (e, lowest(stray)),
+                                      notes="generators not H-related")
         return PropertyReport(prop, True)
 
 
 def facts(s: OrderedSemigroup) -> Facts:
-    """Build the fact record of s.  Products keep the bracketing of their
-    definitions, so the record holds for any table, associative or not."""
-    span, mult, leq = range(s.order), s.mult, s.leq
-    up, down, row, col = table_masks(s)
-    pxq = tuple(
-        tuple([bit_mask([mult[z][q] for z in ps]) for q in span]) for ps in map(set, mult)
-    )
-    inv = tuple(
-        tuple([b for b in span if leq[a][mult[mult[a][b]][a]] and leq[b][mult[mult[b][a]][b]]])
-        for a in span
-    )
-    idem = tuple([e for e in span if leq[e][mult[e][e]]])
-    sq = [r[a] for a, r in enumerate(mult)]
-    return Facts(
-        s, s.order, mult, up, down, row, col, pxq, inv, tuple(map(bit_mask, inv)),
-        idem, bit_mask(idem),
-        next((a for a in span if not pxq[a][a] & up[a]), None),
-        next((a for a in span if not pxq[sq[a]][sq[a]] & up[a]), None),
-    )
+    """Build the fact record of s from the kernel's fact rows; above the
+    kernel's orders, from the reference builder, which has no cap.
+    Products keep the bracketing of their definitions, so the record holds
+    for any table, associative or not."""
+    n = s.order
+    if n <= kernel.MAX_ORDER:
+        rows = kernel.fact_rows(*s.flat(), n)
+    else:
+        from osgkit import _kernel_py  # imported only for large structures
+
+        rows = _kernel_py._fact_rows(tuple(chain(*s.mult)), tuple(chain(*s.leq)), n)
+    return Facts(s, n, s.mult, *rows)
 
 
 def ordered_idempotents(s: OrderedSemigroup) -> frozenset[int]:

@@ -2,8 +2,7 @@
 and sigma, the least complete semilattice congruence, computed as
 Kehayopulu's filter relation N (N. Kehayopulu, "Remark on ordered
 semigroups", Math. Japonica 35, 1990).  Green's relations and sigma are
-each built by one function over mask tables, which the fact record of
-:mod:`osgkit.properties` calls on its own masks.
+read from the rows of the fact record of :mod:`osgkit.properties`.
 
 Nothing here searches over partitions: B.2 is decided by sigma alone
 (``osgkit.theorems._group_like_decomposition``); the partition search
@@ -17,7 +16,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from osgkit.structure import OrderedSemigroup
-from osgkit.subsets import ideal_masks, table_masks
 
 CONGRUENCE_KINDS = ("left", "right", "two_sided", "semilattice", "complete_semilattice")
 
@@ -104,18 +102,13 @@ class GreensRelations(NamedTuple):
     H: Partition
 
 
-def greens_from_ideals(left, right, two) -> GreensRelations:
-    """L, R, J from equality of the principal ideals of ``ideal_masks``; H refines L and R."""
-    l_part = Partition.from_labels(left)
-    r_part = Partition.from_labels(right)
-    j_part = Partition.from_labels(two)
-    h_part = Partition.from_labels(list(zip(left, right)))
-    return GreensRelations(l_part, r_part, j_part, h_part)
-
-
 @lru_cache(maxsize=65536)
 def greens_relations(s: OrderedSemigroup) -> GreensRelations:
-    return greens_from_ideals(*ideal_masks(*table_masks(s)[1:]))
+    """L, R and J relate the elements whose principal left, right and
+    two-sided ideals are equal; H is L and R together."""
+    from osgkit.properties import facts  # the fact record is built on this module
+
+    return facts(s).greens
 
 
 class CongruenceVerdict(NamedTuple):
@@ -168,41 +161,12 @@ def is_congruence(s: OrderedSemigroup, p: Partition, kind: str) -> CongruenceVer
     return CongruenceVerdict(True)
 
 
-def filter_relation(mult, up) -> Partition:
-    """Kehayopulu's relation N: x N y when the least filters containing x
-    and y are equal (N. Kehayopulu, "Remark on ordered semigroups", Math.
-    Japonica 35, 1990, where N is shown to be the least complete
-    semilattice congruence, the least congruence with a = a*a, a*b = b*a,
-    and a = a*b for a <= b).
-
-    A filter is a subsemigroup F such that a*b in F puts a and b in F,
-    and a in F, a <= b puts b in F.  The least filter containing x grows
-    from {x}: each element v that joins brings in the elements above it,
-    up[v], its factors, factors[v] (every a and b with a*b = v), and its
-    products with the members so far, until nothing new joins.
-    """
-    n = len(mult)
-    factors = [0] * n
-    for a, row in enumerate(mult):
-        for b, ab in enumerate(row):
-            factors[ab] |= 1 << a | 1 << b
-    filters = []
-    for x in range(n):
-        f, members, todo = 0, [], [x]
-        while todo:
-            v = todo.pop()
-            if f >> v & 1:
-                continue
-            f |= 1 << v
-            members.append(v)
-            grown = up[v] | factors[v]
-            for m in members:
-                grown |= 1 << mult[v][m] | 1 << mult[m][v]
-            todo += [w for w in range(n) if grown >> w & 1 and not f >> w & 1]
-        filters.append(f)
-    return Partition.from_labels(filters)
-
-
 @lru_cache(maxsize=65536)
 def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
-    return filter_relation(s.mult, table_masks(s)[0])
+    """sigma, the least congruence with a = a*a, a*b = b*a and a = a*b for
+    a <= b, as Kehayopulu's relation N: x N y when the least filters
+    containing x and y are equal (N. Kehayopulu, "Remark on ordered
+    semigroups", Math. Japonica 35, 1990)."""
+    from osgkit.properties import facts  # the fact record is built on this module
+
+    return facts(s).sigma

@@ -29,6 +29,7 @@ __all__ = [
     "ValidationReport",
     "StructureParseError",
     "from_table",
+    "content_lines",
     "parse_structure",
     "parse_named_structure",
     "format_structure",
@@ -131,20 +132,24 @@ class StructureParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _content_lines(text: str):
+def content_lines(text: str):
+    """(line number, tokens) for each line of text that holds more than a
+    comment; line numbers count from 1."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()
 
 
-def parse_named_structure(text: str) -> tuple[OrderedSemigroup, tuple[str, ...]]:
+def parse_named_structure(text) -> tuple[OrderedSemigroup, tuple[str, ...]]:
     """Parse a structure file, returning the value and its element names.
+    text is the file's text, or a list of its :func:`content_lines`, as a
+    corpus reader splits them, so errors name the line of the file.
 
     Only syntactic checks are performed (header shape, index range,
     duplicate order pairs); axioms are the business of :func:`validate`.
     """
-    lines = list(_content_lines(text))
+    lines = list(content_lines(text)) if isinstance(text, str) else text
     if not lines:
         raise StructureParseError("empty structure file")
 
@@ -215,7 +220,9 @@ def parse_named_structure(text: str) -> tuple[OrderedSemigroup, tuple[str, ...]]
     return structure, names
 
 
-def parse_structure(text: str) -> OrderedSemigroup:
+def parse_structure(text) -> OrderedSemigroup:
+    """The structure of :func:`parse_named_structure`, from a file's text
+    or content lines."""
     return parse_named_structure(text)[0]
 
 

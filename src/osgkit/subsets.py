@@ -1,10 +1,8 @@
 """Subset algebra: downward closures, subset products, principal ideals,
 and the ideal/simplicity predicates.
 
-Subsets of the carrier are bit masks, as plain ints in the tables that
-:func:`table_masks` and :func:`ideal_masks`, and no other function, build
-for Green's relations and the fact record of :mod:`osgkit.properties`.
-The public functions take any iterable of carrier indices, reject
+Subsets of the carrier are bit masks inside, read from the fact record
+of :mod:`osgkit.properties`.  The public functions take any iterable of carrier indices, reject
 members outside the carrier with ``ValueError``, and return
 ``frozenset[int]``; all functions are pure.
 """
@@ -13,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from osgkit.properties import bit_mask, facts, union_of
 from osgkit.structure import OrderedSemigroup
 
 SIDES = ("left", "right", "two_sided")
@@ -37,52 +36,23 @@ def _check_side(side: str):
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def bit_mask(elements) -> int:
-    bits = 0
-    for v in elements:
-        bits |= 1 << v
-    return bits
-
-
-def union_of(masks, bits: int) -> int:
-    """The union of masks[v] over the members v of bits."""
-    out = 0
-    for v, mask in enumerate(masks):
-        if bits >> v & 1:
-            out |= mask
-    return out
-
-
-def table_masks(s: OrderedSemigroup):
-    """(up, down, row, col): up[v] holds the elements above v, down[v]
-    those below, row[p] the set pS = {p*x} and col[q] the set Sq = {x*q}."""
-    n, mult, leq = s.order, s.mult, s.leq
-    up, down, row, col = [0] * n, [0] * n, [0] * n, [0] * n
-    for a in range(n):
-        for b in range(n):
-            if leq[a][b]:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-            row[a] |= 1 << mult[a][b]
-            col[b] |= 1 << mult[a][b]
-    return tuple(up), tuple(down), tuple(row), tuple(col)
-
-
-def ideal_masks(down, row, col):
-    """(left, right, two_sided): the principal ideals of each element, the
-    downward closures of a + Sa, a + aS and a + Sa + aS + S(aS), from the
-    down, row and col masks of :func:`table_masks`."""
-    span = range(len(down))
-    return (
-        [union_of(down, 1 << a | col[a]) for a in span],
-        [union_of(down, 1 << a | row[a]) for a in span],
-        [union_of(down, 1 << a | col[a] | row[a] | union_of(col, row[a])) for a in span],
-    )
+def _principal_ideals(s: OrderedSemigroup, side: str) -> list[int]:
+    """Each element's principal ideal of the side as a mask: the downward
+    closure of a + Sa (left), a + aS (right) or a + Sa + aS + S(aS)."""
+    _check_side(side)
+    f = facts(s)
+    if side == "left":
+        spans = f.col
+    elif side == "right":
+        spans = f.row
+    else:
+        spans = [c | r | union_of(f.col, r) for c, r in zip(f.col, f.row)]
+    return [union_of(f.down, 1 << a | sa) for a, sa in enumerate(spans)]
 
 
 def downward_closure(s: OrderedSemigroup, x) -> frozenset[int]:
     """Everything below some member of x: {t : t <= h for some h in x}."""
-    return _members(union_of(table_masks(s)[1], bit_mask(_carrier_subset(s, x))))
+    return _members(union_of(facts(s).down, bit_mask(_carrier_subset(s, x))))
 
 
 def subset_product(s: OrderedSemigroup, x, y) -> frozenset[int]:
@@ -94,8 +64,7 @@ def subset_product(s: OrderedSemigroup, x, y) -> frozenset[int]:
 def principal_ideal(s: OrderedSemigroup, a: int, side: str) -> frozenset[int]:
     """Downward-closed principal ideal of a; the identity adjunction is
     realised by uniting {a} with the translate sets before closing."""
-    _check_side(side)
-    return _members(ideal_masks(*table_masks(s)[1:])[SIDES.index(side)][a])
+    return _members(_principal_ideals(s, side)[a])
 
 
 class IdealVerdict(NamedTuple):
@@ -149,9 +118,8 @@ def is_simple(s: OrderedSemigroup, side: str) -> SimplicityVerdict:
     checks first, each member a of a least proper ideal I generates an
     ideal (a) inside I, so (a) has I's size and is I.
     """
-    _check_side(side)
     full = (1 << s.order) - 1
-    proper = [m for m in ideal_masks(*table_masks(s)[1:])[SIDES.index(side)] if m != full]
+    proper = [m for m in _principal_ideals(s, side) if m != full]
     if not proper:
         return SimplicityVerdict(True)
     return SimplicityVerdict(False, _members(min(proper, key=lambda m: (bin(m).count("1"), m))))

@@ -3,10 +3,13 @@
 Each catalog condition is a decidable statement about one valid
 structure, evaluated by bounded quantifier scans over its fact record
 (:func:`osgkit.properties.facts`), where each inner existential scan is
-one bit-mask test; witnesses are lexicographically least over the scan
-order.  Theorem groupings bundle conditions that are
-expected to agree (equivalences), to follow from the first condition
-(implications), or to hold outright, under an ambient hypothesis.
+one bit-mask test, and each inner universal scan over a set of elements
+tests a whole row: Green's classes and H-commutation are read from the
+record's rows, so the witness of a row test is its lowest stray bit.
+Witnesses are lexicographically least over the scan order.  Theorem
+groupings bundle conditions that are expected to agree (equivalences),
+to follow from the first condition (implications), or to hold outright,
+under an ambient hypothesis.
 
 Groupings share conditions (T35.1 is in four of them), so each condition
 that a set of groupings needs is decided once per fact record.
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
 
-from osgkit.properties import Facts, facts
+from osgkit.properties import Facts, facts, lowest, union_of
 from osgkit.structure import OrderedSemigroup, is_valid, structure_key
-from osgkit.subsets import union_of
 
 REGULAR = "regular"
 
@@ -90,41 +92,43 @@ def _report_verdict(report) -> Verdict:
     return report.holds, report.witness
 
 
-def _idempotents_h_commute_with(f: Facts, others) -> Verdict:
-    """Each ordered idempotent e is H-commutative with each a in others."""
+def _idempotents_h_commute_with(f: Facts, others: int) -> Verdict:
+    """Each ordered idempotent e is H-commutative with each member of the
+    mask others."""
     for e in f.idem:
-        for a in others:
-            if not f.h_commutes(e, a):
-                return False, (e, a)
+        stray = others & ~f.hc[e]
+        if stray:
+            return False, (e, lowest(stray))
     return True, None
 
 
 def _regular_and_idempotents_commute(f: Facts) -> Verdict:
     if f.not_regular is not None:
         return False, (f.not_regular,)
-    return _idempotents_h_commute_with(f, f.idem)
+    return _idempotents_h_commute_with(f, f.idem_mask)
 
 
 def _green_related_idempotents_h_related(f: Facts, relations) -> Verdict:
     """Ordered idempotents related by any of the named Green relations
     are H-related."""
-    greens = f.greens
-    h = greens.H.class_of
-    others = [getattr(greens, rel).class_of for rel in relations]
+    rows = [getattr(f, rel) for rel in relations]
     for e in f.idem:
-        for g in f.idem:
-            if h[e] != h[g] and any(r[e] == r[g] for r in others):
-                return False, (e, g)
+        related = 0
+        for row in rows:
+            related |= row[e]
+        stray = f.idem_mask & related & ~f.H[e]
+        if stray:
+            return False, (e, lowest(stray))
     return True, None
 
 
 def _one_sided_iff_inverse_products(f: Facts, side) -> Verdict:
     """left: a L b exactly when a'a H b'b; right: a R b exactly when
-    aa' H bb'; for all inverse choices a', b'."""
-    greens, mult, span = f.greens, f.mult, range(f.n)
-    one_sided = (greens.L if side == "left" else greens.R).class_of
-    h = greens.H.class_of
-    # each element's inverses a', with the H-class of a'a (left) or aa'
+    aa' H bb'; for all inverse choices a', b'.  Related elements have
+    equal rows."""
+    mult, h, span = f.mult, f.H, range(f.n)
+    one_sided = f.L if side == "left" else f.R
+    # each element's inverses a', with the H-row of a'a (left) or aa'
     products = [
         [(ap, h[mult[ap][a]] if side == "left" else h[mult[a][ap]]) for ap in f.inv[a]]
         for a in span
@@ -179,17 +183,28 @@ def _sandwich_inverses(f: Facts) -> Verdict:
             for x in range(f.n):
                 stray = inv_mask[x] & ~back if inside >> x & 1 else 0
                 if stray:
-                    return False, (e, g, x, (stray & -stray).bit_length() - 1)
+                    return False, (e, g, x, lowest(stray))
     return True, None
 
 
 def _inverse_pair_products_commute(f: Facts, elements) -> Verdict:
     """aa' and a'a are H-commutative for each a in elements, each a'."""
-    mult = f.mult
+    mult, hc = f.mult, f.hc
     for a in elements:
         for ap in f.inv[a]:
-            if not f.h_commutes(mult[a][ap], mult[ap][a]):
+            if not hc[mult[a][ap]] >> mult[ap][a] & 1:
                 return False, (a, ap)
+    return True, None
+
+
+def _idempotent_inverses_h_commute(f: Facts) -> Verdict:
+    """Any two inverses b, c of each ordered idempotent e are
+    H-commutative; the witness is the least such (e, b, c) that are not."""
+    for e in f.idem:
+        for b in f.inv[e]:
+            stray = f.inv_mask[e] & ~f.hc[b]
+            if stray:
+                return False, (e, b, lowest(stray))
     return True, None
 
 
@@ -232,7 +247,7 @@ def _group_like_decomposition(f: Facts) -> Verdict:
 
 
 def _idempotent_products_h_related(f: Facts) -> Verdict:
-    mult, idem, h = f.mult, f.idem_mask, f.greens.H.class_of
+    mult, idem, h = f.mult, f.idem_mask, f.H
     for a in range(f.n):
         for b in range(f.n):
             ab, ba = mult[a][b], mult[b][a]
@@ -242,13 +257,14 @@ def _idempotent_products_h_related(f: Facts) -> Verdict:
 
 
 def _all_greens_coincide(f: Facts) -> Verdict:
-    greens = f.greens
-    h, l, r, j = (p.class_of for p in (greens.H, greens.L, greens.R, greens.J))
+    """The witness is the least a, b with a < b that one of L, R, J
+    relates differently from H: the lowest bit above a where a's rows
+    differ."""
     for a in range(f.n):
-        for b in range(a + 1, f.n):
-            same = h[a] == h[b]
-            if (l[a] == l[b]) != same or (r[a] == r[b]) != same or (j[a] == j[b]) != same:
-                return False, (a, b)
+        h = f.H[a]
+        split = ((f.L[a] ^ h) | (f.R[a] ^ h) | (f.J[a] ^ h)) >> a + 1
+        if split:
+            return False, (a, a + 1 + lowest(split))
     return True, None
 
 
@@ -270,7 +286,7 @@ def _cr_gives_witnessed_powers(f: Facts) -> Verdict:
 def _cr_least_congruence_is_j(f: Facts) -> Verdict:
     if f.not_completely_regular is not None:
         return True, None
-    least, j = f.sigma.class_of, f.greens.J.class_of
+    least, j = f.filters, f.J  # equal filters, equal J rows: related
     for a in range(f.n):
         for b in range(a + 1, f.n):
             if (least[a] == least[b]) != (j[a] == j[b]):
@@ -315,7 +331,7 @@ _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
           REGULAR, lambda f: f.inverses_h_related(f.idem))
 _register("C.4", "any two inverses of an ordered idempotent are H-commutative",
-          REGULAR, lambda f: f.inverses_pairwise_related(f.idem, f.h_commutes))
+          REGULAR, _idempotent_inverses_h_commute)
 _register("C.5", "ee' and e'e are H-commutative for idempotent inverse pairs",
           REGULAR, lambda f: _inverse_pair_products_commute(f, f.idem))
 _register("B.1", "inverse and completely regular",
@@ -325,7 +341,7 @@ _register("B.2", "complete semilattice decomposition into group-like classes",
 _register("B.3", "ab H ba whenever both products are ordered idempotents",
           REGULAR, _idempotent_products_h_related)
 _register("B.4", "every ordered idempotent is H-commutative with every element",
-          REGULAR, lambda f: _idempotents_h_commute_with(f, range(f.n)))
+          REGULAR, lambda f: _idempotents_h_commute_with(f, (1 << f.n) - 1))
 _register("B.5", "J-related ordered idempotents are H-related",
           REGULAR, lambda f: _green_related_idempotents_h_related(f, ("J",)))
 _register("B.6", "H, L, R, J all coincide",

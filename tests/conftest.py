@@ -95,7 +95,7 @@ def corpus_upto3_iso():
 # kernel backends
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL_FUNCTIONS = ("enumerate_valid_tables", "canonical_key")
+KERNEL_FUNCTIONS = ("enumerate_valid_tables", "canonical_key", "fact_rows")
 
 
 @pytest.fixture(scope="session")

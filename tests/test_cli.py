@@ -456,6 +456,17 @@ def test_check_theorems_needs_exactly_one_source():
     assert code == 2
 
 
+def test_check_theorems_corpus_errors_name_the_file_line(tmp_path, capsys):
+    corpus_file = tmp_path / "c.osg"
+    corpus_file.write_text(
+        "# osgkit corpus\norder 1\nmult 0\n---\n"
+        "order 2  # the second record\nelements a b\nmult a a\nmult 0 x\n"
+    )
+    code, _ = run_cli("check-theorems", "--corpus", str(corpus_file))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {corpus_file}: line 8: unknown element 'x'\n"
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

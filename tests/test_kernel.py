@@ -31,7 +31,7 @@ def test_backends_report_their_names(compiled):
 
 def test_backends_share_max_order(compiled):
     assert {name for name in dir(compiled) if not name.startswith("_")} == {
-        "BACKEND", "MAX_ORDER", "enumerate_valid_tables", "canonical_key",
+        "BACKEND", "MAX_ORDER", "enumerate_valid_tables", "canonical_key", "fact_rows",
     }
     assert compiled.MAX_ORDER == _kernel_py.MAX_ORDER == kernel.MAX_ORDER == 5
 
@@ -108,6 +108,39 @@ def test_canonical_key_parity_on_random_inputs(compiled):
             _kernel_py.canonical_key(mult, leq, n)
 
 
+def _every_class_upto_4(compiled):
+    """(n, mult, leq) for each ordered semigroup class of orders 1..4: the
+    orbit-minimal tables over one poset of each isomorphism class."""
+    for n in (1, 2, 3, 4):
+        for rel in poset_representatives(n):
+            leq = _leq_flat(rel, n)
+            for mult in compiled.enumerate_valid_tables(n, leq, orbit_minimal=True):
+                yield n, mult, leq
+
+
+def test_fact_rows_identical_on_every_class_upto_order_4(compiled):
+    count = 0
+    for n, mult, leq in _every_class_upto_4(compiled):
+        assert compiled.fact_rows(mult, leq, n) == _kernel_py.fact_rows(mult, leq, n)
+        count += 1
+    assert count == 1 + 11 + 173 + 4753
+
+
+def test_fact_rows_identical_on_random_tables(compiled):
+    # the record is defined for any table, associative or not, under any
+    # relation: partial orders, and arbitrary 0/1 matrices
+    rng = random.Random(26)
+    posets = {n: [_leq_flat(rel, n) for rel in enumerate_partial_orders(n)] for n in (1, 2, 3, 4)}
+    for k in range(400):
+        n = rng.randint(1, 5)
+        mult = bytes(rng.randrange(n) for _ in range(n * n))
+        if n < 5 and k % 2:
+            leq = rng.choice(posets[n])
+        else:
+            leq = bytes(rng.randint(0, 1) for _ in range(n * n))
+        assert compiled.fact_rows(mult, leq, n) == _kernel_py.fact_rows(mult, leq, n)
+
+
 ERROR_CASES = [
     # the calls kernel.enumerate_assoc_tables(0) and (6) make
     ("enumerate_valid_tables", (0, b""), "order must be within 1..5"),
@@ -122,6 +155,11 @@ ERROR_CASES = [
     ("canonical_key", (b"\x00" * 5, b"\x01" * 4, 2), "mult must hold n*n bytes"),
     ("canonical_key", (b"\x00\x00\x00\x02", b"\x01" * 4, 2), "mult entries must be below n"),
     ("canonical_key", (b"\x00" * 4, b"\x01" * 3, 2), "leq must hold n*n bytes"),
+    ("fact_rows", (b"", b"", 0), "order must be within 1..5"),
+    ("fact_rows", (b"\x00" * 36, b"\x01" * 36, 6), "order must be within 1..5"),
+    ("fact_rows", (b"\x00" * 3, b"\x01" * 4, 2), "mult must hold n*n bytes"),
+    ("fact_rows", (b"\x00\x00\x00\x02", b"\x01" * 4, 2), "mult entries must be below n"),
+    ("fact_rows", (b"\x00" * 4, b"\x01" * 3, 2), "leq must hold n*n bytes"),
 ]
 
 
@@ -178,7 +216,7 @@ def test_bench_kernel_script_times_every_available_backend():
     assert [w for w in lines[header].split()[1:] if w != "speedup"] == backends
     rows = lines[header + 1:]
     # assoc tables, valid tables over all posets, orbit-minimal tables over
-    # poset classes, canonical keys
-    assert len(rows) == 4
+    # poset classes, canonical keys, fact rows of the classes
+    assert len(rows) == 5
     for row in rows:
         assert len(re.findall(r"\d+\.\d+ms", row)) == len(backends)

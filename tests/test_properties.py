@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from osgkit.oracles import complete_semilattice_congruences, greens_by_literal_sets
 from osgkit.properties import (
+    facts,
     generator_uniqueness,
     h_commutes,
     inverses_of,
@@ -12,7 +14,7 @@ from osgkit.properties import (
     regularity,
     resolve_predicate,
 )
-from osgkit.relations import greens_relations
+from osgkit.relations import Partition, greens_relations, least_complete_semilattice_congruence
 from osgkit.structure import opposite, relabel
 from osgkit.subsets import downward_closure, subset_product
 
@@ -187,6 +189,59 @@ def test_generator_uniqueness_examples(sl2, lz2, t1):
 def test_generator_uniqueness_rejects_unknown_side(t1):
     with pytest.raises(ValueError):
         generator_uniqueness(t1, "two_sided")
+
+
+# ---------------------------------------------------------------------------
+# the fact record's rows against the literal definitions
+
+
+def _rows(labels):
+    """For each element, the mask of the elements with an equal label."""
+    return tuple(sum(1 << b for b, other in enumerate(labels) if other == label)
+                 for label in labels)
+
+
+def test_green_rows_are_the_classes_of_literal_ideals(corpus_upto3_labelled):
+    # a L b when (a + Sa] = (b + Sb], R and J likewise, H is L and R; the
+    # oracle's classes of the sets before closing refine these
+    for s in corpus_upto3_labelled:
+        mult, leq, span = s.mult, s.leq, range(s.order)
+
+        def closed(generators):
+            return frozenset(t for t in span if any(leq[t][h] for h in generators))
+
+        left = [closed({a} | {mult[x][a] for x in span}) for a in span]
+        right = [closed({a} | {mult[a][x] for x in span}) for a in span]
+        two = [closed({a} | {mult[x][a] for x in span} | {mult[a][x] for x in span}
+                      | {mult[x][mult[a][y]] for x in span for y in span})
+               for a in span]
+        f = facts(s)
+        assert (f.L, f.R, f.J) == (_rows(left), _rows(right), _rows(two))
+        assert f.H == tuple(lc & rc for lc, rc in zip(f.L, f.R))
+        for literal, rows in zip(greens_by_literal_sets(s), (f.L, f.R, f.J)):
+            assert literal.refines(Partition.from_labels(rows))
+
+
+def test_hc_rows_scan_h_commutation(corpus_upto3_labelled):
+    # b in hc[a] when ab <= bxa and ba <= ayb for some x, y
+    for s in corpus_upto3_labelled:
+        mult, leq, span = s.mult, s.leq, range(s.order)
+        assert facts(s).hc == tuple(
+            sum(1 << b for b in span
+                if any(leq[mult[a][b]][mult[mult[b][x]][a]] for x in span)
+                and any(leq[mult[b][a]][mult[mult[a][y]][b]] for y in span))
+            for a in span
+        )
+
+
+def test_filter_rows_give_the_least_complete_semilattice_congruence(corpus_upto3_labelled):
+    # sigma relates the elements with equal least filters; it is the
+    # complete semilattice congruence that refines every other one
+    for s in corpus_upto3_labelled:
+        sigma = Partition.from_labels(facts(s).filters)
+        congruences = complete_semilattice_congruences(s)
+        assert [p for p in congruences if all(p.refines(q) for q in congruences)] == [sigma]
+        assert least_complete_semilattice_congruence(s) == sigma
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from osgkit.properties import (
     regularity,
 )
 from osgkit.relations import greens_relations
-from osgkit import kernel, oracles, properties, relations, subsets, theorems
+from osgkit import kernel, oracles, properties, relations, theorems
 from osgkit.enumeration import (
     EnumerationOptions,
     enumerate_ordered_semigroups,
@@ -202,9 +202,9 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
     # one fact record per structure, and each is decided once per record,
     # however many groupings name it (T35.1 is in four).  Records built
     # inside osgkit.properties count too: B.2 tests sigma's classes on the
-    # structure's own record, not on a record of each class.  The record
-    # builds its masks once, and Green's relations and sigma come from
-    # them: no mask table is rebuilt and no structure-keyed cache filled.
+    # structure's own record, not on a record of each class.  The kernel
+    # builds each record's rows once, and Green's relations and sigma come
+    # from them: no row is rebuilt and no structure-keyed cache filled.
     corpus = [s for s in corpus_upto3_iso if s.order == 3]
     assert len(corpus) == 173
     built, masked = [], []
@@ -217,9 +217,9 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
         built.append(s)
         return facts(s)
 
-    def counted_masks(s, table_masks=subsets.table_masks):
-        masked.append(s)
-        return table_masks(s)
+    def counted_rows(*args, fact_rows=kernel.fact_rows):
+        masked.append(args)
+        return fact_rows(*args)
 
     def counted_condition(cid, fn):
         def run(f):
@@ -234,8 +234,7 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
         patched.setattr(oracles, "all_partitions", forbidden)
         patched.setattr(theorems, "facts", counted)
         patched.setattr(properties, "facts", counted)
-        for module in (properties, relations, subsets):
-            patched.setattr(module, "table_masks", counted_masks)
+        patched.setattr(kernel, "fact_rows", counted_rows)
         for cid, condition in CONDITIONS.items():
             patched.setitem(CONDITIONS, cid, replace(
                 condition, fn=counted_condition(cid, condition.fn)))
@@ -244,7 +243,7 @@ def test_sweep_checks_no_partition(monkeypatch, corpus_upto3_iso):
     assert relations.least_complete_semilattice_congruence.cache_info().currsize == 0
     assert report == sweep(corpus)
     assert len(built) == 173  # one record per class, none per grouping
-    assert len(masked) == 173  # one set of mask tables per record
+    assert len(masked) == 173  # one set of fact rows per record
     assert runs == {cid: 173 for cid in CONDITIONS}
 
 

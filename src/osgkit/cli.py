@@ -25,6 +25,7 @@ from osgkit.enumeration import (
     write_corpus,
 )
 from osgkit.properties import GENERATOR_SIDES, GROUP_LIKE_KINDS, REGULARITY_KINDS, facts
+from osgkit.relations import greens_relations, least_complete_semilattice_congruence
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
@@ -180,7 +181,7 @@ def _cmd_analyze(args, out) -> int:
         return _emit_validation("analyze", args, s, names, vreport, out)
 
     f = facts(s)
-    greens, least = f.greens, f.sigma
+    greens, least = greens_relations(s), least_complete_semilattice_congruence(s)
     canon = structure_key(s).hex()
     findings = [
         {
@@ -431,14 +432,15 @@ def _cmd_check_theorems(args, out) -> int:
         n = opts.order
         candidates = ASSOC_TABLE_COUNTS[n] * POSET_COUNTS[n]
 
-    report = sweep(corpus, args.theorem or None)
+    theorems = list(dict.fromkeys(args.theorem or theorem_ids()))
+    report = sweep(corpus, theorems)
     doc = {
         "command": "check-theorems",
         "options": {
             "order": args.order,
             "corpus": args.corpus,
             "labelled": bool(args.labelled),
-            "theorems": list(args.theorem or theorem_ids()),
+            "theorems": theorems,
             "shard": args.shard,
         },
         "structures": report.structures,

@@ -17,11 +17,12 @@ and semigroups (the discrete order), run that one search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
 from osgkit import kernel
+from osgkit.properties import PROPERTY_PREDICATES
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
@@ -31,6 +32,7 @@ from osgkit.structure import (
     from_flat,
     parse_structure,
 )
+from osgkit.theorems import CONDITIONS, evaluate_condition
 
 MODES = ("labelled", "up_to_iso")
 
@@ -77,9 +79,6 @@ def shard_stream(items, shard):
 
 
 def _resolve_filters(filters):
-    from osgkit.properties import PROPERTY_PREDICATES
-    from osgkit.theorems import CONDITIONS, evaluate_condition
-
     predicates = []
     for fid in filters:
         if fid in PROPERTY_PREDICATES:
@@ -105,32 +104,16 @@ def enumerate_partial_orders(n: int) -> list[tuple[tuple[bool, ...], ...]]:
         raise ValueError(f"order must be within 1..{kernel.MAX_ORDER}")
     pairs = list(combinations(range(n), 2))
     out = []
-    states = [0] * len(pairs)
-
-    def emit():
+    for states in product((0, 1, 2), repeat=len(pairs)):
         rel = [[i == j for j in range(n)] for i in range(n)]
         for (i, j), state in zip(pairs, states):
             if state == 1:
                 rel[i][j] = True
             elif state == 2:
                 rel[j][i] = True
-        for a in range(n):
-            for b in range(n):
-                if rel[a][b]:
-                    for c in range(n):
-                        if rel[b][c] and not rel[a][c]:
-                            return
-        out.append(tuple(tuple(row) for row in rel))
-
-    def walk(k: int):
-        if k == len(pairs):
-            emit()
-            return
-        for state in range(3):
-            states[k] = state
-            walk(k + 1)
-
-    walk(0)
+        if all(rel[a][c] for a in range(n) for b in range(n) if rel[a][b]
+               for c in range(n) if rel[b][c]):
+            out.append(tuple(tuple(row) for row in rel))
     out.sort()
     return out
 

@@ -13,11 +13,10 @@ least violating tuple, so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 from osgkit import kernel
-from osgkit.relations import GreensRelations, Partition
 from osgkit.structure import OrderedSemigroup
 
 REGULARITY_KINDS = ("regular", "completely_regular", "right_regular", "left_regular")
@@ -71,8 +70,8 @@ class Facts:
     exactly when b is in a's row, or when their rows are equal; hc[a]
     holds the elements H-commutative with a; filters[a] is the least
     filter containing a, and sigma relates the elements whose filters are
-    equal.  The partitions ``greens`` and ``sigma`` are built from the
-    rows on first read.
+    equal.  The record holds rows only: the partitions of Green's
+    relations and of sigma are built from them by :mod:`osgkit.relations`.
     """
 
     s: OrderedSemigroup
@@ -95,14 +94,6 @@ class Facts:
     H: tuple[int, ...]
     hc: tuple[int, ...]
     filters: tuple[int, ...]
-
-    @cached_property
-    def greens(self) -> GreensRelations:
-        return GreensRelations(*map(Partition.from_labels, (self.L, self.R, self.J, self.H)))
-
-    @cached_property
-    def sigma(self) -> Partition:
-        return Partition.from_labels(self.filters)
 
     def regularity(self, kind: str) -> PropertyReport:
         if kind == "regular":

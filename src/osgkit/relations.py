@@ -1,8 +1,10 @@
 """Partitions of the carrier, Green's relations, the congruence checker,
 and sigma, the least complete semilattice congruence, computed as
 Kehayopulu's filter relation N (N. Kehayopulu, "Remark on ordered
-semigroups", Math. Japonica 35, 1990).  Green's relations and sigma are
-read from the rows of the fact record of :mod:`osgkit.properties`.
+semigroups", Math. Japonica 35, 1990).  The fact record of
+:func:`osgkit.properties.facts` holds Green's relations and sigma as mask
+rows; the partitions of both are this module's views of those rows,
+built only by the functions that return them.
 
 Nothing here searches over partitions: B.2 is decided by sigma alone
 (``osgkit.theorems._group_like_decomposition``); the partition search
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from osgkit.properties import facts
 from osgkit.structure import OrderedSemigroup
 
 CONGRUENCE_KINDS = ("left", "right", "two_sided", "semilattice", "complete_semilattice")
@@ -106,9 +109,8 @@ class GreensRelations(NamedTuple):
 def greens_relations(s: OrderedSemigroup) -> GreensRelations:
     """L, R and J relate the elements whose principal left, right and
     two-sided ideals are equal; H is L and R together."""
-    from osgkit.properties import facts  # the fact record is built on this module
-
-    return facts(s).greens
+    f = facts(s)
+    return GreensRelations(*map(Partition.from_labels, (f.L, f.R, f.J, f.H)))
 
 
 class CongruenceVerdict(NamedTuple):
@@ -167,6 +169,4 @@ def least_complete_semilattice_congruence(s: OrderedSemigroup) -> Partition:
     a <= b, as Kehayopulu's relation N: x N y when the least filters
     containing x and y are equal (N. Kehayopulu, "Remark on ordered
     semigroups", Math. Japonica 35, 1990)."""
-    from osgkit.properties import facts  # the fact record is built on this module
-
-    return facts(s).sigma
+    return Partition.from_labels(facts(s).filters)

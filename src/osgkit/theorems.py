@@ -30,6 +30,7 @@ from itertools import groupby
 from typing import Callable, Iterable
 
 from osgkit.properties import Facts, facts, lowest, union_of
+from osgkit.relations import Partition
 from osgkit.structure import OrderedSemigroup, is_valid, structure_key
 
 REGULAR = "regular"
@@ -240,9 +241,9 @@ def _group_like_decomposition(f: Facts) -> Verdict:
     """
     if f.not_regular is not None:
         return False, None
-    sigma = f.sigma
-    if all(f.not_group_like(c) is None for c in sigma.classes):
-        return True, sigma.classes
+    classes = Partition.from_labels(f.filters).classes
+    if all(f.not_group_like(c) is None for c in classes):
+        return True, classes
     return False, None
 
 
@@ -568,10 +569,11 @@ def _decision(f: Facts, theorem: Theorem, decided: dict) -> tuple[bool, bool]:
 def sweep(corpus, theorem_ids=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
     :func:`~osgkit.structure.structure_key`, the canonical form at orders
-    1..5 and the structure's own encoding above them.  Invalid corpus
-    members are skipped with a note, in corpus order.  Validity does not
-    change under relabelling, so each class is validated once, on its
-    first copy, after the keys are taken.
+    1..5 and the structure's own encoding above them.  A grouping id given
+    more than once is swept once.  Invalid corpus members are skipped with
+    a note, in corpus order.  Validity does not change under relabelling,
+    so each class is validated once, on its first copy, after the keys are
+    taken.
 
     Isomorphic copies of order at most 5 share their key (above order 5
     each copy is its own class, decided alone), and a condition's
@@ -589,7 +591,7 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
     witness and decide only the rest afresh, so each record carries its
     own copy's report and witnesses.
     """
-    ids = tuple(theorem_ids) if theorem_ids else tuple(THEOREMS)
+    ids = tuple(dict.fromkeys(theorem_ids or THEOREMS))
     theorems = [_entry(THEOREMS, "theorem", tid) for tid in ids]
     needed = dict.fromkeys(cid for t in theorems for item in t.items for cid in item)
     conditions = [_entry(CONDITIONS, "condition", cid) for cid in needed]

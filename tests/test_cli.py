@@ -444,6 +444,17 @@ def test_check_theorems_rejects_bad_shard(tmp_path, capsys, shard):
         assert "shard index must be within 0..count-1" in capsys.readouterr().err
 
 
+def test_check_theorems_repeated_theorem_counts_once():
+    # a repeated --theorem names one grouping, printed and counted once
+    once = ("check-theorems", "--order", "2", "--theorem", "THM_BIG")
+    twice = (*once, "--theorem", "THM_BIG")
+    assert run_cli(*twice) == run_cli(*once)
+    doc = run_json(*twice)[1]
+    assert doc == run_json(*once)[1]
+    assert doc["options"]["theorems"] == ["THM_BIG"]
+    assert [entry["theorem"] for entry in doc["findings"]] == ["THM_BIG"]
+
+
 def test_check_theorems_unknown_theorem():
     code, _ = run_cli("check-theorems", "--order", "2", "--theorem", "THM_X")
     assert code == 2

@@ -1,6 +1,7 @@
 """Every name that a module of the package imports is used in that module,
-every private name that a module defines is read in the package, and the
-package's caches are exactly the known ones.
+every private name that a module defines is read in the package, the
+package's caches are exactly the known ones, and its modules import each
+other at module level only.
 
 No linter ships with the test extras, so these are the checks that catch
 an import, or a private helper, left behind when the code that read it
@@ -136,17 +137,77 @@ def test_cached_functions_are_found():
 
 
 def test_no_new_caches():
-    # the five structure-keyed caches whose hit ratios the benchmark reads,
-    # and the fact record's lazily built Green's relations and sigma; a
-    # sixth cache fails here, and the list shrinks as the five go
+    # the five structure-keyed caches whose hit ratios the benchmark reads;
+    # the fact record caches nothing (it holds rows, and relations builds
+    # the partitions of Green's relations and sigma from them), a sixth
+    # cache fails here, and the list shrinks as the five go
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert cached_functions(sources) == [
-        ("properties.py", "Facts.greens"),
-        ("properties.py", "Facts.sigma"),
         ("properties.py", "inverses_of"),
         ("properties.py", "is_inverse_ordered"),
         ("properties.py", "regularity"),
         ("relations.py", "greens_relations"),
         ("relations.py", "least_complete_semilattice_congruence"),
+    ]
+
+
+def function_level_imports(source: str) -> list[tuple[str, int, str]]:
+    """(qualified function name, line, module) for each osgkit module that
+    the given source imports inside a function, methods and nested
+    functions included; ``from osgkit import m`` imports ``osgkit.m``."""
+    found = []
+
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module == "osgkit":
+            return [f"osgkit.{a.name}" for a in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        return []
+
+    def visit(node, prefix, function):
+        for child in ast.iter_child_nodes(node):
+            if function:
+                found.extend((function, child.lineno, m) for m in modules(child)
+                             if m == "osgkit" or m.startswith("osgkit."))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.", prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", function)
+            else:
+                visit(child, prefix, function)
+
+    visit(ast.parse(source), "", None)
+    return sorted(found)
+
+
+def test_function_level_imports_are_found():
+    source = (
+        "import os\n"
+        "from osgkit import kernel\n"
+        "if os.environ:\n    from osgkit import _kernel_py\n"
+        "def a():\n    import json\n    from osgkit.relations import Partition\n"
+        "class B:\n"
+        "    def c(self):\n"
+        "        if self:\n            import osgkit.theorems\n"
+        "        def d():\n            from osgkit import properties, structure\n"
+    )
+    assert function_level_imports(source) == [
+        ("B.c", 11, "osgkit.theorems"),
+        ("B.c.d", 13, "osgkit.properties"),
+        ("B.c.d", 13, "osgkit.structure"),
+        ("a", 7, "osgkit.relations"),
+    ]
+
+
+def test_no_function_level_imports():
+    # no import cycle is broken by importing inside a function; the one
+    # import left there keeps the reference kernel unloaded until a
+    # structure above the compiled kernel's orders needs it
+    found = [(path.name, *entry) for path in sorted(PACKAGE.glob("*.py"))
+             for entry in function_level_imports(path.read_text(encoding="utf-8"))]
+    assert [(module, fn, name) for module, fn, _, name in found] == [
+        ("properties.py", "facts", "osgkit._kernel_py"),
     ]

@@ -25,7 +25,7 @@ from osgkit.enumeration import (
     write_corpus,
 )
 from osgkit.properties import GENERATOR_SIDES, GROUP_LIKE_KINDS, REGULARITY_KINDS, facts
-from osgkit.relations import greens_relations, least_complete_semilattice_congruence
+from osgkit.relations import Partition
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
@@ -156,8 +156,9 @@ def _cmd_validate(args, out) -> int:
 # analyze
 
 
-def _partition_names(p, names):
-    return [[names[i] for i in group] for group in p.classes]
+def _partition_names(rows, names):
+    """The classes of a relation, equal fact-record rows, as element names."""
+    return [[names[i] for i in group] for group in Partition.from_labels(rows).classes]
 
 
 def _property_finding(kind, report, names):
@@ -181,7 +182,6 @@ def _cmd_analyze(args, out) -> int:
         return _emit_validation("analyze", args, s, names, vreport, out)
 
     f = facts(s)
-    greens, least = greens_relations(s), least_complete_semilattice_congruence(s)
     canon = structure_key(s).hex()
     findings = [
         {
@@ -192,15 +192,15 @@ def _cmd_analyze(args, out) -> int:
         {
             "kind": "greens",
             "structure": canon,
-            "L": _partition_names(greens.L, names),
-            "R": _partition_names(greens.R, names),
-            "J": _partition_names(greens.J, names),
-            "H": _partition_names(greens.H, names),
+            "L": _partition_names(f.L, names),
+            "R": _partition_names(f.R, names),
+            "J": _partition_names(f.J, names),
+            "H": _partition_names(f.H, names),
         },
         {
             "kind": "least_complete_semilattice_congruence",
             "structure": canon,
-            "classes": _partition_names(least, names),
+            "classes": _partition_names(f.filters, names),
         },
     ]
     for kind in REGULARITY_KINDS:
@@ -412,6 +412,8 @@ def _theorem_findings(report):
 def _cmd_check_theorems(args, out) -> int:
     if bool(args.corpus) == (args.order is not None):
         raise CliError("give exactly one of --order or --corpus")
+    if args.corpus and args.labelled:
+        raise CliError("--labelled applies to --order only: a corpus is swept as it stands")
     for tid in args.theorem or ():
         if tid not in theorem_ids():
             raise CliError(f"unknown theorem {tid!r}; known: {list(theorem_ids())}")

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
 from osgkit import kernel
-from osgkit.properties import PROPERTY_PREDICATES
+from osgkit.properties import PROPERTY_PREDICATES, facts
 from osgkit.structure import (
     OrderedSemigroup,
     StructureParseError,
@@ -32,7 +32,7 @@ from osgkit.structure import (
     from_flat,
     parse_structure,
 )
-from osgkit.theorems import CONDITIONS, evaluate_condition
+from osgkit.theorems import CONDITIONS, _condition_verdict
 
 MODES = ("labelled", "up_to_iso")
 
@@ -79,19 +79,19 @@ def shard_stream(items, shard):
 
 
 def _resolve_filters(filters):
-    predicates = []
+    """Each filter's test of a fact record, a property's predicate or a
+    catalog condition's verdict, so all read a structure's one record."""
+    tests = []
     for fid in filters:
         if fid in PROPERTY_PREDICATES:
-            predicates.append(PROPERTY_PREDICATES[fid])
+            tests.append(PROPERTY_PREDICATES[fid])
         elif fid in CONDITIONS:
-            predicates.append(
-                lambda s, _fid=fid: evaluate_condition(s, _fid).holds
-            )
+            tests.append(lambda f, _fid=fid: _condition_verdict(f, _fid, {}).holds)
         else:
             raise KeyError(
                 f"unknown filter {fid!r}: not a property or catalog condition"
             )
-    return predicates
+    return tests
 
 
 def enumerate_partial_orders(n: int) -> list[tuple[tuple[bool, ...], ...]]:
@@ -197,7 +197,7 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
     and shard unions reproduce the unsharded stream.
     """
     n = opts.order
-    predicates = _resolve_filters(opts.filters)
+    tests = _resolve_filters(opts.filters)
     keys = _class_keys(n, poset_representatives(n))
     if opts.mode == "labelled":
         pairs = _copies(keys, n)
@@ -205,10 +205,9 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
         pairs = ((key[1 : 1 + n * n], key[1 + n * n :]) for key in keys)
     shared: dict = {}  # equal rows and orders become one tuple object
     stream = (from_flat(n, mult, leq, shared) for mult, leq in pairs)
-    filtered = (
-        s for s in stream if all(predicate(s) for predicate in predicates)
-    )
-    yield from shard_stream(filtered, opts.shard)
+    if tests:  # every filter reads the structure's one fact record
+        stream = (s for s in stream if all(test(f) for f in [facts(s)] for test in tests))
+    yield from shard_stream(stream, opts.shard)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Brute-force oracles: naive, enumerate-everything implementations used to
 cross-check the main code paths and to make derived test values executable.
 
-Nothing here calls the optimised kernels or the validator; each oracle
-recomputes from the definitions with plain scans.  The semilattice
-decomposition search tries every partition of the carrier, a Bell(n)
-count; the catalog decides B.2 from the least complete semilattice
-congruence alone, and the tests hold that shortcut against this search.
+Each oracle recomputes from the definitions with plain scans and never
+calls the validator.  Given a property id, the semilattice decomposition
+search decides each class on its fact record, from ``kernel.fact_rows``;
+it tries every partition of the carrier, a Bell(n) count.  The catalog
+decides B.2 from sigma alone, and the tests hold that against this search.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ and H-unique idempotent generation.
 
 Each structure's facts are computed once, as int bit masks, into an
 immutable :class:`Facts` record built by :func:`facts` from the kernel's
-fact rows; the deciders below are adapters over it, and the catalog
-conditions of :mod:`osgkit.theorems` read it directly.  Every decider
-returns a :class:`PropertyReport` whose witness is the lexicographically
-least violating tuple, so reports are reproducible.
+fact rows; the deciders below are adapters over it, and the property
+predicates and the catalog conditions of :mod:`osgkit.theorems` read it
+directly.  Every decider returns a :class:`PropertyReport` whose witness
+is the lexicographically least violating tuple, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -248,22 +248,18 @@ def generator_uniqueness(s: OrderedSemigroup, side: str) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# predicate registry, used by enumeration filters and by the decomposition
-# search in osgkit.oracles
-
-def _bool(fn):
-    return lambda s: fn(s).holds
-
+# predicate registry: each property id's test of a fact record, read by the
+# enumeration filters; resolve_predicate's tests of structures serve oracles
 
 PROPERTY_PREDICATES = {
-    "regular": _bool(lambda s: regularity(s, "regular")),
-    "completely_regular": _bool(lambda s: regularity(s, "completely_regular")),
-    "right_regular": _bool(lambda s: regularity(s, "right_regular")),
-    "left_regular": _bool(lambda s: regularity(s, "left_regular")),
-    "group_like": _bool(lambda s: is_group_like(s, "two_sided")),
-    "left_group_like": _bool(lambda s: is_group_like(s, "left")),
-    "right_group_like": _bool(lambda s: is_group_like(s, "right")),
-    "inverse": _bool(is_inverse_ordered),
+    "regular": lambda f: f.not_regular is None,
+    "completely_regular": lambda f: f.not_completely_regular is None,
+    "right_regular": lambda f: f.regularity("right_regular").holds,
+    "left_regular": lambda f: f.regularity("left_regular").holds,
+    "group_like": lambda f: f.group_like("two_sided").holds,
+    "left_group_like": lambda f: f.group_like("left").holds,
+    "right_group_like": lambda f: f.group_like("right").holds,
+    "inverse": lambda f: f.inverse().holds,
 }
 # aliases: catalog names kept stable for callers
 PROPERTY_PREDICATES["is_inverse_ordered"] = PROPERTY_PREDICATES["inverse"]
@@ -271,9 +267,11 @@ PROPERTY_PREDICATES["t_simple"] = PROPERTY_PREDICATES["group_like"]
 
 
 def resolve_predicate(prop: str):
+    """The property's test of a structure, made on its fact record."""
     try:
-        return PROPERTY_PREDICATES[prop]
+        predicate = PROPERTY_PREDICATES[prop]
     except KeyError:
         raise KeyError(
             f"unknown property {prop!r}; known: {sorted(PROPERTY_PREDICATES)}"
         ) from None
+    return lambda s: predicate(facts(s))

@@ -75,6 +75,21 @@ def valid_fixtures(t1, sl2, lz2, n2):
     return {"t1": t1, "sl2": sl2, "lz2": lz2, "n2": n2}
 
 
+@pytest.fixture
+def fact_rows_calls(monkeypatch):
+    """The arguments of each kernel.fact_rows call, one fact record each,
+    that the test makes."""
+    calls = []
+    fact_rows = kernel.fact_rows
+
+    def counted(*args):
+        calls.append(args)
+        return fact_rows(*args)
+
+    monkeypatch.setattr(kernel, "fact_rows", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus_upto3_labelled():
     out = []

@@ -170,6 +170,13 @@ def test_analyze_n2_group_like_not_applicable():
     assert regular["holds"] is False and regular["witness"] == ["a"]
 
 
+def test_analyze_builds_four_fact_records(fact_rows_calls):
+    # one record for every finding but simplicity, and one for is_simple on
+    # each side
+    code, _ = run_json("analyze", SL2)
+    assert code == 0 and len(fact_rows_calls) == 4
+
+
 def test_analyze_invalid_structure_exits_1():
     code, text = run_cli("analyze", PX3)
     assert code == 1
@@ -465,6 +472,14 @@ def test_check_theorems_needs_exactly_one_source():
     assert code == 2
     code, _ = run_cli("check-theorems", "--order", "2", "--corpus", "x.osg")
     assert code == 2
+
+
+def test_check_theorems_labelled_needs_order(tmp_path, capsys):
+    corpus = tmp_path / "c.osg"
+    corpus.write_text(fixture_text("sl2"), encoding="utf-8")
+    code, text = run_cli("check-theorems", "--corpus", str(corpus), "--labelled")
+    assert code == 2 and text == ""
+    assert "--labelled" in capsys.readouterr().err
 
 
 def test_check_theorems_corpus_errors_name_the_file_line(tmp_path, capsys):

@@ -19,7 +19,15 @@ from osgkit.enumeration import (
     write_corpus,
 )
 from osgkit.fixtures import load_fixture
+from osgkit.properties import (
+    PROPERTY_PREDICATES,
+    REGULARITY_KINDS,
+    is_group_like,
+    is_inverse_ordered,
+    regularity,
+)
 from osgkit.structure import StructureParseError, canonical_form, validate
+from osgkit.theorems import condition_ids, evaluate_condition
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +317,51 @@ def test_condition_ids_work_as_filters():
         enumerate_ordered_semigroups(EnumerationOptions(2, filters=("inverse",)))
     )
     assert [s.flat() for s in via_condition] == [s.flat() for s in via_property]
+
+
+# the kind of each group-like property id
+GROUP_LIKE_IDS = {"group_like": "two_sided", "t_simple": "two_sided",
+                  "left_group_like": "left", "right_group_like": "right"}
+
+
+def decider(fid):
+    """The public decider of a filter id: structure to report."""
+    if fid in REGULARITY_KINDS:
+        return lambda s: regularity(s, fid)
+    if fid in GROUP_LIKE_IDS:
+        return lambda s: is_group_like(s, GROUP_LIKE_IDS[fid])
+    if fid in ("inverse", "is_inverse_ordered"):
+        return is_inverse_ordered
+    return lambda s: evaluate_condition(s, fid)
+
+
+@pytest.fixture(scope="module")
+def labelled_order_3():
+    return list(enumerate_ordered_semigroups(EnumerationOptions(3)))
+
+
+def test_filter_ids_are_the_properties_and_conditions():
+    assert len(PROPERTY_PREDICATES) == 10 and len(condition_ids()) == 23
+    assert set(PROPERTY_PREDICATES) == set(REGULARITY_KINDS) | set(GROUP_LIKE_IDS) \
+        | {"inverse", "is_inverse_ordered"}
+
+
+@pytest.mark.parametrize("fid", sorted(PROPERTY_PREDICATES) + list(condition_ids()))
+def test_each_filter_keeps_what_its_decider_holds(fid, labelled_order_3):
+    filtered = enumerate_ordered_semigroups(EnumerationOptions(3, filters=(fid,)))
+    decide = decider(fid)
+    assert [s.flat() for s in filtered] == \
+        [s.flat() for s in labelled_order_3 if decide(s).holds]
+
+
+def test_filters_share_one_fact_record_per_structure(fact_rows_calls):
+    # one record for each of the 971 labelled structures, whatever the
+    # filters; none without filters
+    opts = EnumerationOptions(3, filters=("T35.1", "B.2", "regular"))
+    assert list(enumerate_ordered_semigroups(opts)) and len(fact_rows_calls) == 971
+    fact_rows_calls.clear()
+    assert len(list(enumerate_ordered_semigroups(EnumerationOptions(3)))) == 971
+    assert fact_rows_calls == []
 
 
 # ---------------------------------------------------------------------------

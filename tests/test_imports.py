@@ -1,7 +1,8 @@
 """Every name that a module of the package imports is used in that module,
 every private name that a module defines is read in the package, the
-package's caches are exactly the known ones, and its modules import each
-other at module level only.
+package's caches are exactly the known ones, no module of it reads those
+cached functions or ``check_theorem``, and its modules import each other
+at module level only.
 
 No linter ships with the test extras, so these are the checks that catch
 an import, or a private helper, left behind when the code that read it
@@ -211,3 +212,62 @@ def test_no_function_level_imports():
     assert [(module, fn, name) for module, fn, _, name in found] == [
         ("properties.py", "facts", "osgkit._kernel_py"),
     ]
+
+
+# the five cached functions and check_theorem: tests, oracles and the
+# tracer read them, and the package decides on fact records instead
+GUARDED = ("inverses_of", "regularity", "is_inverse_ordered", "greens_relations",
+           "least_complete_semilattice_congruence", "check_theorem")
+
+
+def guarded_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each read of a GUARDED name in the given source,
+    bare or as an attribute of an osgkit module it imports, outside the
+    function of that name; a method of the same name is not read."""
+    tree = ast.parse(source)
+    modules = set()  # the expressions that name an osgkit module here
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "osgkit":
+            modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name.startswith("osgkit."))
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute) and ast.unparse(child.value) in modules:
+                name = child.attr
+            else:
+                name = None
+            if name in GUARDED and name != function:
+                found.append((child.lineno, name))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_guarded_reads_are_found():
+    source = (
+        "import osgkit.relations\n"
+        "from osgkit import properties as p, theorems\n"
+        "from osgkit.properties import regularity\n"
+        "def check_theorem(s):\n    return check_theorem(s)\n"
+        "def a(s, f):\n"
+        "    f.regularity('regular')\n"
+        "    return regularity(s), p.inverses_of(s, 0)\n"
+        "b = [theorems.check_theorem, osgkit.relations.greens_relations]\n"
+    )
+    assert guarded_reads(source) == [
+        (8, "inverses_of"), (8, "regularity"), (9, "check_theorem"), (9, "greens_relations"),
+    ]
+
+
+def test_package_reads_no_cached_function():
+    found = [(path.name, *entry) for path in sorted(PACKAGE.glob("*.py"))
+             for entry in guarded_reads(path.read_text(encoding="utf-8"))]
+    assert found == []

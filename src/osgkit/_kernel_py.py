@@ -207,9 +207,11 @@ def fact_rows(mult: bytes, leq: bytes, n: int) -> tuple:
     """One table's fact record, each subset of the carrier an int mask
     with bit v for element v, as the tuple (up, down, row, col, pxq, inv,
     inv_mask, idem, idem_mask, not_regular, not_completely_regular, L, R,
-    J, H, hc, filters); ``osgkit.properties.Facts`` names each field.
-    Products keep the bracketing of their definitions, so the record is
-    defined for any table, associative or not, under any relation."""
+    J, H, hc, filters, not_left_matched, not_right_matched, not_conjugate,
+    not_reproduced, not_sandwich_closed); ``osgkit.properties.Facts``
+    names each field.  Products keep the bracketing of their definitions,
+    so the record is defined for any table, associative or not, under any
+    relation."""
     _check(n, leq, mult)
     return _fact_rows(mult, leq, n)
 
@@ -253,13 +255,60 @@ def _fact_rows(mult, leq, n: int) -> tuple:
         _mask([b for b in span if pxq[b][a] & up[m[a][b]] and pxq[a][b] & up[m[b][a]]])
         for a in span
     )
+    idem_mask = _mask(idem)
     return (
         tuple(up), tuple(down), tuple(row), tuple(col), pxq, inv, tuple(map(_mask, inv)),
-        idem, _mask(idem),
+        idem, idem_mask,
         next((a for a in span if not pxq[a][a] & up[a]), None),
         next((a for a in span if not pxq[sq[a]][sq[a]] & up[a]), None),
         *greens, h, hc, _least_filters(m, up),
+        # L4.1 compares the H rows of a'a and b'b, L4.2 those of aa' and bb'
+        _unmatched(inv, greens[0], [[h[m[ap][a]] for ap in inv[a]] for a in span]),
+        _unmatched(inv, greens[1], [[h[m[a][ap]] for ap in inv[a]] for a in span]),
+        # {aexa'} is pxq[ae][a'] and {a'eya} is pxq[a'e][a], bracketed as scanned
+        next(((a, ap, e) for a in span for ap in inv[a] for e in idem
+              if not (pxq[m[a][e]][ap] & idem_mask and pxq[m[ap][e]][a] & idem_mask)), None),
+        _not_reproduced(m, up, pxq, inv),
+        # inverses of members of (eSg], the downward closure of pxq[e][g],
+        # lie in (gSe]
+        next(((e, g, x, y) for e in idem for g in idem
+              for inside, back in [(_union(down, pxq[e][g]), _union(down, pxq[g][e]))]
+              for x in span if inside >> x & 1 for y in inv[x] if not back >> y & 1), None),
     )
+
+
+def _unmatched(inv, side, rows):
+    """L4.1's or L4.2's least failing (a, b, a', b'), or None: "side[a] ==
+    side[b]" disagrees with "rows[a][i] == rows[b][j]", where a' is the
+    i-th inverse of a and b' the j-th of b."""
+    span = range(len(side))
+    pairs = [list(zip(inv[a], rows[a])) for a in span]
+    for a in span:
+        for b in span:
+            lhs = side[a] == side[b]
+            for ap, x in pairs[a]:
+                for bp, y in pairs[b]:
+                    if lhs != (x == y):
+                        return a, b, ap, bp
+    return None
+
+
+def _not_reproduced(m, up, pxq, inv):
+    """L4.4's least failing (a, b, a', b'), or None.  By associativity
+    abb'xa'ab is (abb')x(a'ab), and b'a'aybb'a' is (b'a'a)y(bb'a'), so each
+    scan over x or y is one mask of pxq."""
+    span = range(len(m))
+    for a in span:
+        for b in span:
+            ab = m[a][b]
+            for ap in inv[a]:
+                apab = m[m[ap][a]][b]
+                for bp in inv[b]:
+                    bpap = m[bp][ap]
+                    if not (pxq[m[ab][bp]][apab] & up[ab]
+                            and pxq[m[bpap][a]][m[m[b][bp]][ap]] & up[bpap]):
+                        return a, b, ap, bp
+    return None
 
 
 def _least_filters(m, up) -> tuple[int, ...]:

@@ -379,12 +379,126 @@ first_miss(const mask_t *hit, const mask_t *up, int n)
     Py_RETURN_NONE;
 }
 
-#define FACT_FIELDS 17
+/* A scan's witness, its first len elements w, as a tuple of ints; None
+ * when len is 0, as the scan found none. */
+static PyObject *
+witness(const mask_t *w, int len)
+{
+    if (len == 0)
+        Py_RETURN_NONE;
+    return mask_tuple(w, len);
+}
+
+/* Write the witness (p, q, r, s) to w; returns its length. */
+static int
+put4(mask_t *w, int p, int q, int r, int s)
+{
+    w[0] = p, w[1] = q, w[2] = r, w[3] = s;
+    return 4;
+}
+
+/* L4.1 (left) and L4.2: the least (a, b, a', b'), a' an inverse of a and
+ * b' of b, where "side[a] == side[b]" disagrees with "h[a'a] == h[b'b]"
+ * (left) or "h[aa'] == h[bb']"; returns the witness length, 0 for none. */
+static int
+unmatched(table_t m, const mask_t *inv, const mask_t *side, const mask_t *h,
+          int left, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            for (int ap = 0; ap < n; ap++) {
+                if (!(inv[a] >> ap & 1))
+                    continue;
+                mask_t x = h[left ? m[ap * n + a] : m[a * n + ap]];
+                for (int bp = 0; bp < n; bp++)
+                    if (inv[b] >> bp & 1
+                        && (side[a] == side[b])
+                           != (x == h[left ? m[bp * n + b] : m[b * n + bp]]))
+                        return put4(w, a, b, ap, bp);
+            }
+    return 0;
+}
+
+/* L4.3: the least (a, a', e) where {aexa'} = pxq[ae][a'] or {a'eya} =
+ * pxq[a'e][a] misses the ordered idempotents idem. */
+static int
+not_conjugate(table_t m, mask_t pxq[][MAX_ORDER], const mask_t *inv,
+              mask_t idem, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int ap = 0; ap < n; ap++) {
+            if (!(inv[a] >> ap & 1))
+                continue;
+            for (int e = 0; e < n; e++)
+                if (idem >> e & 1
+                    && !(pxq[m[a * n + e]][ap] & idem
+                         && pxq[m[ap * n + e]][a] & idem)) {
+                    w[0] = a, w[1] = ap, w[2] = e;
+                    return 3;
+                }
+        }
+    return 0;
+}
+
+/* L4.4: the least (a, b, a', b') where ab <= (abb')x(a'ab) for no x, or
+ * b'a' <= (b'a'a)y(bb'a') for no y; each scan is one mask of pxq. */
+static int
+not_reproduced(table_t m, mask_t pxq[][MAX_ORDER], const mask_t *inv,
+               const mask_t *up, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++) {
+            int ab = m[a * n + b];
+            for (int ap = 0; ap < n; ap++) {
+                if (!(inv[a] >> ap & 1))
+                    continue;
+                int apab = m[m[ap * n + a] * n + b];
+                for (int bp = 0; bp < n; bp++) {
+                    if (!(inv[b] >> bp & 1))
+                        continue;
+                    int bpap = m[bp * n + ap];
+                    if (!(pxq[m[ab * n + bp]][apab] & up[ab])
+                        || !(pxq[m[bpap * n + a]][m[m[b * n + bp] * n + ap]]
+                             & up[bpap]))
+                        return put4(w, a, b, ap, bp);
+                }
+            }
+        }
+    return 0;
+}
+
+/* TESF: the least (e, g, x, y) over ordered idempotents e and g, x in
+ * (eSg], the downward closure of pxq[e][g], and y the least inverse of x
+ * outside (gSe]. */
+static int
+not_sandwich_closed(mask_t pxq[][MAX_ORDER], const mask_t *inv,
+                    const mask_t *down, mask_t idem, int n, mask_t *w)
+{
+    for (int e = 0; e < n; e++)
+        for (int g = 0; g < n; g++) {
+            if (!(idem >> e & 1 && idem >> g & 1))
+                continue;
+            mask_t inside = union_of(down, pxq[e][g], n),
+                back = union_of(down, pxq[g][e], n);
+            for (int x = 0; x < n; x++) {
+                mask_t stray = inside >> x & 1 ? inv[x] & ~back : 0;
+                for (int y = 0; y < n; y++)
+                    if (stray >> y & 1)
+                        return put4(w, e, g, x, y);
+            }
+        }
+    return 0;
+}
+
+#define FACT_FIELDS 22
 
 /* The fact record of one table as the tuple (up, down, row, col, pxq, inv,
  * inv_mask, idem, idem_mask, not_regular, not_completely_regular, L, R, J,
- * H, hc, filters), each subset a mask; _kernel_py.fact_rows is the
- * reference.  Products keep the bracketing of their definitions. */
+ * H, hc, filters, not_left_matched, not_right_matched, not_conjugate,
+ * not_reproduced, not_sandwich_closed), each subset a mask and each of the
+ * last five the least failing tuple of its scan or None;
+ * _kernel_py.fact_rows is the reference.  Products keep the bracketing of
+ * their definitions. */
 static PyObject *
 fact_rows(PyObject *self, PyObject *args, PyObject *kwargs)
 {
@@ -392,7 +506,7 @@ fact_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     table_t m, leq;
     Py_ssize_t mlen, llen;
     int n;
-    mask_t up[MAX_ORDER] = {0}, down[MAX_ORDER] = {0}, row[MAX_ORDER] = {0},
+    mask_t w[4], up[MAX_ORDER] = {0}, down[MAX_ORDER] = {0}, row[MAX_ORDER] = {0},
         col[MAX_ORDER] = {0}, pxq[MAX_ORDER][MAX_ORDER], inv[MAX_ORDER],
         idem = 0, diag[MAX_ORDER], sqdiag[MAX_ORDER], ideal[3][MAX_ORDER],
         green[4][MAX_ORDER], hc[MAX_ORDER], factors[MAX_ORDER] = {0},
@@ -504,6 +618,11 @@ fact_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         PUT(mask_tuple(green[r], n));
     PUT(mask_tuple(hc, n));
     PUT(mask_tuple(filters, n));
+    PUT(witness(w, unmatched(m, inv, green[0], green[3], 1, n, w)));
+    PUT(witness(w, unmatched(m, inv, green[1], green[3], 0, n, w)));
+    PUT(witness(w, not_conjugate(m, pxq, inv, idem, n, w)));
+    PUT(witness(w, not_reproduced(m, pxq, inv, up, n, w)));
+    PUT(witness(w, not_sandwich_closed(pxq, inv, down, idem, n, w)));
 #undef PUT
     return rec;
 fail:

@@ -213,7 +213,7 @@ def _cmd_analyze(args, out) -> int:
             _property_finding("generator_uniqueness", f.generator_uniqueness(side), names)
         )
     for side in SIDES:
-        verdict = is_simple(s, side)
+        verdict = is_simple(s, side, f)
         findings.append({
             "kind": "simplicity",
             "side": side,

@@ -79,19 +79,22 @@ def shard_stream(items, shard):
 
 
 def _resolve_filters(filters):
-    """Each filter's test of a fact record, a property's predicate or a
-    catalog condition's verdict, so all read a structure's one record."""
-    tests = []
+    """The test of a fact record that every filter passes, each filter a
+    property's predicate or a catalog condition's verdict.  The conditions
+    share one map of function outcomes per record, as in the sweep, so a
+    function that several filters name is called once."""
     for fid in filters:
-        if fid in PROPERTY_PREDICATES:
-            tests.append(PROPERTY_PREDICATES[fid])
-        elif fid in CONDITIONS:
-            tests.append(lambda f, _fid=fid: _condition_verdict(f, _fid, {}).holds)
-        else:
+        if fid not in PROPERTY_PREDICATES and fid not in CONDITIONS:
             raise KeyError(
                 f"unknown filter {fid!r}: not a property or catalog condition"
             )
-    return tests
+
+    def passes(f) -> bool:
+        outcomes: dict = {}
+        return all(PROPERTY_PREDICATES[fid](f) if fid in PROPERTY_PREDICATES
+                   else _condition_verdict(f, fid, outcomes).holds for fid in filters)
+
+    return passes
 
 
 def enumerate_partial_orders(n: int) -> list[tuple[tuple[bool, ...], ...]]:
@@ -197,7 +200,7 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
     and shard unions reproduce the unsharded stream.
     """
     n = opts.order
-    tests = _resolve_filters(opts.filters)
+    passes = _resolve_filters(opts.filters)
     keys = _class_keys(n, poset_representatives(n))
     if opts.mode == "labelled":
         pairs = _copies(keys, n)
@@ -205,8 +208,8 @@ def enumerate_ordered_semigroups(opts: EnumerationOptions) -> Iterator[OrderedSe
         pairs = ((key[1 : 1 + n * n], key[1 + n * n :]) for key in keys)
     shared: dict = {}  # equal rows and orders become one tuple object
     stream = (from_flat(n, mult, leq, shared) for mult, leq in pairs)
-    if tests:  # every filter reads the structure's one fact record
-        stream = (s for s in stream if all(test(f) for f in [facts(s)] for test in tests))
+    if opts.filters:  # every filter reads the structure's one fact record
+        stream = (s for s in stream if passes(facts(s)))
     yield from shard_stream(stream, opts.shard)
 
 

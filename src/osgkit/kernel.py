@@ -2,11 +2,11 @@
 
 Each backend exports three entry points for orders 1..``MAX_ORDER``: the
 table search ``enumerate_valid_tables``, ``canonical_key``, and
-``fact_rows``, one structure's fact record as bit-mask rows (see
-``osgkit.properties.Facts``).  With ``orbit_minimal=True`` the search
-keeps only the least table of each orbit under the order's automorphisms:
-one table per isomorphism class of ordered semigroups over that order.
-The compiled module ``osgkit._kernel`` is built by
+``fact_rows``, one structure's fact record as bit-mask rows and scan
+witnesses (see ``osgkit.properties.Facts``).  With ``orbit_minimal=True``
+the search keeps only the least table of each orbit under the order's
+automorphisms: one table per isomorphism class of ordered semigroups over
+that order.  The compiled module ``osgkit._kernel`` is built by
 ``setup.py`` from the hand-written ``_kernelmodule.c``; ``_kernel_py`` is
 the reference it must match.  Set OSGKIT_PURE=1 to force the fallback.
 """

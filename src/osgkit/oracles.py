@@ -220,6 +220,113 @@ def semilattice_decomposition_check(
     return DecompositionVerdict(False)
 
 
+# ---------------------------------------------------------------------------
+# literal readings of Lemma 4's inverse-pair laws and of the sandwich-set
+# condition: sets and products written out, no fact record and no masks.
+# Each gives (holds, witness), the witness the least failing tuple in the
+# catalog's scan order; on associative tables they must agree with it.
+
+
+def _product(s: OrderedSemigroup, *factors: int) -> int:
+    """x1 x2 ... xk, bracketed from the left."""
+    out = factors[0]
+    for x in factors[1:]:
+        out = s.mult[out][x]
+    return out
+
+
+def _below(s: OrderedSemigroup, xs) -> frozenset[int]:
+    """(X], everything below some member of xs."""
+    return frozenset(t for t in range(s.order) if any(s.leq[t][x] for x in xs))
+
+
+def literal_inverses(s: OrderedSemigroup, a: int) -> list[int]:
+    """The b with a <= aba and b <= bab, ascending."""
+    return [b for b in range(s.order)
+            if s.leq[a][_product(s, a, b, a)] and s.leq[b][_product(s, b, a, b)]]
+
+
+def literal_idempotents(s: OrderedSemigroup) -> list[int]:
+    """The ordered idempotents e <= e*e, ascending."""
+    return [e for e in range(s.order) if s.leq[e][_product(s, e, e)]]
+
+
+def inverse_products_matched(s: OrderedSemigroup, side: str):
+    """L4.1 (left): a L b exactly when a'a H b'b; L4.2 (right): a R b
+    exactly when aa' H bb'; for all a, b, inverses a' of a and b' of b.
+    a L b when (a + Sa] = (b + Sb], a R b when (a + aS] = (b + bS], and H
+    is both."""
+    span = range(s.order)
+    left = [_below(s, {a} | {s.mult[x][a] for x in span}) for a in span]
+    right = [_below(s, {a} | {s.mult[a][x] for x in span}) for a in span]
+    one_sided = left if side == "left" else right
+    for a in span:
+        for b in span:
+            for ap in literal_inverses(s, a):
+                for bp in literal_inverses(s, b):
+                    if side == "left":
+                        x, y = _product(s, ap, a), _product(s, bp, b)
+                    else:
+                        x, y = _product(s, a, ap), _product(s, b, bp)
+                    h_related = left[x] == left[y] and right[x] == right[y]
+                    if (one_sided[a] == one_sided[b]) != h_related:
+                        return False, (a, b, ap, bp)
+    return True, None
+
+
+def idempotent_conjugates(s: OrderedSemigroup):
+    """L4.3: for each a, inverse a' and ordered idempotent e, some aexa'
+    and some a'eya are ordered idempotents."""
+    span, idem = range(s.order), literal_idempotents(s)
+    for a in span:
+        for ap in literal_inverses(s, a):
+            for e in idem:
+                if not (any(_product(s, a, e, x, ap) in idem for x in span)
+                        and any(_product(s, ap, e, y, a) in idem for y in span)):
+                    return False, (a, ap, e)
+    return True, None
+
+
+def products_reproduced(s: OrderedSemigroup):
+    """L4.4: for each a, b and inverses a', b', ab <= abb'xa'ab for some x
+    and b'a' <= b'a'aybb'a' for some y."""
+    span, leq = range(s.order), s.leq
+    for a in span:
+        for b in span:
+            for ap in literal_inverses(s, a):
+                for bp in literal_inverses(s, b):
+                    ab, bpap = _product(s, a, b), _product(s, bp, ap)
+                    if not (any(leq[ab][_product(s, a, b, bp, x, ap, a, b)] for x in span)
+                            and any(leq[bpap][_product(s, bp, ap, a, y, b, bp, ap)]
+                                    for y in span)):
+                        return False, (a, b, ap, bp)
+    return True, None
+
+
+def sandwich_inverses(s: OrderedSemigroup):
+    """TESF: for ordered idempotents e and f, every inverse of a member of
+    (eSf] lies in (fSe]; the witness is (e, f, x, x')."""
+    span, idem = range(s.order), literal_idempotents(s)
+    for e in idem:
+        for f in idem:
+            esf = _below(s, {_product(s, e, x, f) for x in span})
+            fse = _below(s, {_product(s, f, x, e) for x in span})
+            for x in sorted(esf):
+                for xp in literal_inverses(s, x):
+                    if xp not in fse:
+                        return False, (e, f, x, xp)
+    return True, None
+
+
+INVERSE_PAIR_REFERENCES = {
+    "L4.1": lambda s: inverse_products_matched(s, "left"),
+    "L4.2": lambda s: inverse_products_matched(s, "right"),
+    "L4.3": idempotent_conjugates,
+    "L4.4": products_reproduced,
+    "TESF": sandwich_inverses,
+}
+
+
 def px3_report() -> dict:
     """Exhaustive 27-triple adjudication of the px3 fixture, both the
     row-times-column table and its mirror."""

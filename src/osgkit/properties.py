@@ -65,13 +65,17 @@ class Facts:
     not_completely_regular are the least element outside (aSa], resp.
     (a2Sa2], or None.
 
-    The rest are rows, one mask per element a.  L[a], R[a], J[a] and H[a]
-    hold a's class of each Green's relation, so a and b are related
+    The next six are rows, one mask per element a.  L[a], R[a], J[a] and
+    H[a] hold a's class of each Green's relation, so a and b are related
     exactly when b is in a's row, or when their rows are equal; hc[a]
     holds the elements H-commutative with a; filters[a] is the least
     filter containing a, and sigma relates the elements whose filters are
-    equal.  The record holds rows only: the partitions of Green's
-    relations and of sigma are built from them by :mod:`osgkit.relations`.
+    equal.  The partitions of Green's relations and of sigma are built
+    from these rows by :mod:`osgkit.relations`.  The last five are the
+    least failing tuples of the inverse-pair scans, in the catalog's scan
+    order, or None: not_left_matched and not_right_matched, (a, b, a', b')
+    for L4.1 and L4.2; not_conjugate, (a, a', e) for L4.3; not_reproduced,
+    (a, b, a', b') for L4.4; not_sandwich_closed, (e, f, x, x') for TESF.
     """
 
     s: OrderedSemigroup
@@ -94,6 +98,11 @@ class Facts:
     H: tuple[int, ...]
     hc: tuple[int, ...]
     filters: tuple[int, ...]
+    not_left_matched: tuple[int, int, int, int] | None
+    not_right_matched: tuple[int, int, int, int] | None
+    not_conjugate: tuple[int, int, int] | None
+    not_reproduced: tuple[int, int, int, int] | None
+    not_sandwich_closed: tuple[int, int, int, int] | None
 
     def regularity(self, kind: str) -> PropertyReport:
         if kind == "regular":

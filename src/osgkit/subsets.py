@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from osgkit.properties import bit_mask, facts, union_of
+from osgkit.properties import Facts, bit_mask, facts, union_of
 from osgkit.structure import OrderedSemigroup
 
 SIDES = ("left", "right", "two_sided")
@@ -36,11 +36,10 @@ def _check_side(side: str):
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def _principal_ideals(s: OrderedSemigroup, side: str) -> list[int]:
-    """Each element's principal ideal of the side as a mask: the downward
-    closure of a + Sa (left), a + aS (right) or a + Sa + aS + S(aS)."""
+def _principal_ideals(f: Facts, side: str) -> list[int]:
+    """Each element's principal ideal of the side, on the record f, as a
+    mask: the closure of a + Sa (left), a + aS (right) or a + Sa + aS + SaS."""
     _check_side(side)
-    f = facts(s)
     if side == "left":
         spans = f.col
     elif side == "right":
@@ -64,7 +63,7 @@ def subset_product(s: OrderedSemigroup, x, y) -> frozenset[int]:
 def principal_ideal(s: OrderedSemigroup, a: int, side: str) -> frozenset[int]:
     """Downward-closed principal ideal of a; the identity adjunction is
     realised by uniting {a} with the translate sets before closing."""
-    return _members(_principal_ideals(s, side)[a])
+    return _members(_principal_ideals(facts(s), side)[a])
 
 
 class IdealVerdict(NamedTuple):
@@ -110,8 +109,9 @@ class SimplicityVerdict(NamedTuple):
     witness: frozenset[int] | None = None
 
 
-def is_simple(s: OrderedSemigroup, side: str) -> SimplicityVerdict:
-    """No proper nonempty ideal of the given side exists.
+def is_simple(s: OrderedSemigroup, side: str, f: Facts | None = None) -> SimplicityVerdict:
+    """No proper nonempty ideal of the given side exists; read from f, the
+    fact record of s, which is built here when the caller has none.
 
     A failing verdict carries the least proper ideal by (size, mask), the
     least proper principal ideal: on a valid structure, as ``analyze``
@@ -119,7 +119,7 @@ def is_simple(s: OrderedSemigroup, side: str) -> SimplicityVerdict:
     ideal (a) inside I, so (a) has I's size and is I.
     """
     full = (1 << s.order) - 1
-    proper = [m for m in _principal_ideals(s, side) if m != full]
+    proper = [m for m in _principal_ideals(facts(s) if f is None else f, side) if m != full]
     if not proper:
         return SimplicityVerdict(True)
     return SimplicityVerdict(False, _members(min(proper, key=lambda m: (bin(m).count("1"), m))))

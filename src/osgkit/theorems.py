@@ -1,12 +1,15 @@
 """Condition catalog and equivalence sweeps.
 
 Each catalog condition is a decidable statement about one valid
-structure, evaluated by bounded quantifier scans over its fact record
-(:func:`osgkit.properties.facts`), where each inner existential scan is
-one bit-mask test, and each inner universal scan over a set of elements
-tests a whole row: Green's classes and H-commutation are read from the
-record's rows, so the witness of a row test is its lowest stray bit.
-Witnesses are lexicographically least over the scan order.  Theorem
+structure, decided on its fact record (:func:`osgkit.properties.facts`).
+Lemma 4's four inverse-pair laws (L4.1-L4.4) and the sandwich-set
+condition (TESF) read the record's witnesses, scanned by the kernel as
+it builds the record.  The others are bounded quantifier scans over the
+record, where each inner existential scan is one bit-mask test, and each
+inner universal scan over a set of elements tests a whole row: Green's
+classes and H-commutation are read from the record's rows, so the
+witness of a row test is its lowest stray bit.  Witnesses are
+lexicographically least over the scan order.  Theorem
 groupings bundle conditions that are expected to agree (equivalences),
 to follow from the first condition (implications), or to hold outright,
 under an ambient hypothesis.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
 
-from osgkit.properties import Facts, facts, lowest, union_of
+from osgkit.properties import Facts, facts, lowest
 from osgkit.relations import Partition
 from osgkit.structure import OrderedSemigroup, is_valid, structure_key
 
@@ -120,71 +123,6 @@ def _green_related_idempotents_h_related(f: Facts, relations) -> Verdict:
         stray = f.idem_mask & related & ~f.H[e]
         if stray:
             return False, (e, lowest(stray))
-    return True, None
-
-
-def _one_sided_iff_inverse_products(f: Facts, side) -> Verdict:
-    """left: a L b exactly when a'a H b'b; right: a R b exactly when
-    aa' H bb'; for all inverse choices a', b'.  Related elements have
-    equal rows."""
-    mult, h, span = f.mult, f.H, range(f.n)
-    one_sided = f.L if side == "left" else f.R
-    # each element's inverses a', with the H-row of a'a (left) or aa'
-    products = [
-        [(ap, h[mult[ap][a]] if side == "left" else h[mult[a][ap]]) for ap in f.inv[a]]
-        for a in span
-    ]
-    for a in span:
-        for b in span:
-            lhs = one_sided[a] == one_sided[b]
-            for ap, x in products[a]:
-                for bp, y in products[b]:
-                    if lhs != (x == y):
-                        return False, (a, b, ap, bp)
-    return True, None
-
-
-def _idempotent_conjugates(f: Facts) -> Verdict:
-    # {aexa'} is pxq[ae][a'] and {a'eya} is pxq[a'e][a], bracketed as scanned
-    mult, pxq, idem = f.mult, f.pxq, f.idem_mask
-    for a in range(f.n):
-        for ap in f.inv[a]:
-            for e in f.idem:
-                if not (pxq[mult[a][e]][ap] & idem and pxq[mult[ap][e]][a] & idem):
-                    return False, (a, ap, e)
-    return True, None
-
-
-def _product_reproduction(f: Facts) -> Verdict:
-    # by associativity abb'xa'ab is (abb')x(a'ab), and b'a'aybb'a' is
-    # (b'a'a)y(bb'a'), so each scan over x or y is one mask of pxq
-    mult, pxq, up = f.mult, f.pxq, f.up
-    for a in range(f.n):
-        for b in range(f.n):
-            ab = mult[a][b]
-            for ap in f.inv[a]:
-                apab = mult[mult[ap][a]][b]
-                for bp in f.inv[b]:
-                    if not pxq[mult[ab][bp]][apab] & up[ab]:
-                        return False, (a, b, ap, bp)
-                    bpap = mult[bp][ap]
-                    if not pxq[mult[bpap][a]][mult[mult[b][bp]][ap]] & up[bpap]:
-                        return False, (a, b, ap, bp)
-    return True, None
-
-
-def _sandwich_inverses(f: Facts) -> Verdict:
-    """Inverses of members of (eSf], the downward closure of pxq[e][f],
-    lie in (fSe]."""
-    down, pxq, inv_mask = f.down, f.pxq, f.inv_mask
-    for e in f.idem:
-        for g in f.idem:
-            inside = union_of(down, pxq[e][g])
-            back = union_of(down, pxq[g][e])
-            for x in range(f.n):
-                stray = inv_mask[x] & ~back if inside >> x & 1 else 0
-                if stray:
-                    return False, (e, g, x, lowest(stray))
     return True, None
 
 
@@ -316,15 +254,15 @@ _register("T35.2", "regular with pairwise H-commutative ordered idempotents",
 _register("T35.3", "L- or R-related ordered idempotents are H-related",
           None, lambda f: _green_related_idempotents_h_related(f, ("L", "R")))
 _register("L4.1", "a L b exactly when a'a H b'b for all inverse choices",
-          REGULAR, lambda f: _one_sided_iff_inverse_products(f, "left"))
+          REGULAR, lambda f: (f.not_left_matched is None, f.not_left_matched))
 _register("L4.2", "a R b exactly when aa' H bb' for all inverse choices",
-          REGULAR, lambda f: _one_sided_iff_inverse_products(f, "right"))
+          REGULAR, lambda f: (f.not_right_matched is None, f.not_right_matched))
 _register("L4.3", "aexa' and a'eya land in the ordered idempotents for some x, y",
-          REGULAR, _idempotent_conjugates)
+          REGULAR, lambda f: (f.not_conjugate is None, f.not_conjugate))
 _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
-          REGULAR, _product_reproduction)
+          REGULAR, lambda f: (f.not_reproduced is None, f.not_reproduced))
 _register("TESF", "inverses of members of (eSf] lie in (fSe]",
-          None, _sandwich_inverses)
+          None, lambda f: (f.not_sandwich_closed is None, f.not_sandwich_closed))
 _register("C.1", "inverse: any two inverses of an element are H-related",
           REGULAR, lambda f: (True, None), given=("T35.1",))
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",

@@ -170,11 +170,10 @@ def test_analyze_n2_group_like_not_applicable():
     assert regular["holds"] is False and regular["witness"] == ["a"]
 
 
-def test_analyze_builds_four_fact_records(fact_rows_calls):
-    # one record for every finding but simplicity, and one for is_simple on
-    # each side
+def test_analyze_builds_one_fact_record(fact_rows_calls):
+    # one record serves every finding, simplicity on each side included
     code, _ = run_json("analyze", SL2)
-    assert code == 0 and len(fact_rows_calls) == 4
+    assert code == 0 and len(fact_rows_calls) == 1
 
 
 def test_analyze_invalid_structure_exits_1():

@@ -21,6 +21,7 @@ from osgkit.enumeration import (
 from osgkit.fixtures import load_fixture
 from osgkit.properties import (
     PROPERTY_PREDICATES,
+    Facts,
     REGULARITY_KINDS,
     is_group_like,
     is_inverse_ordered,
@@ -362,6 +363,25 @@ def test_filters_share_one_fact_record_per_structure(fact_rows_calls):
     fact_rows_calls.clear()
     assert len(list(enumerate_ordered_semigroups(EnumerationOptions(3)))) == 971
     assert fact_rows_calls == []
+
+
+def test_filters_naming_one_function_call_it_once_per_record(monkeypatch):
+    # C.1 is T35.1's function under another id: with both filters, each
+    # record decides it once, as with T35.1 alone
+    calls = []
+    inverses_h_related = Facts.inverses_h_related
+
+    def counted(f, elements):
+        calls.append(f)
+        return inverses_h_related(f, elements)
+
+    monkeypatch.setattr(Facts, "inverses_h_related", counted)
+    runs = []
+    for filters in (("T35.1",), ("T35.1", "C.1")):
+        calls.clear()
+        kept = list(enumerate_ordered_semigroups(EnumerationOptions(3, filters=filters)))
+        runs.append((len(kept), len(calls)))
+    assert runs[0] == runs[1] == (309, 593)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
@@ -495,6 +496,40 @@ def test_verdicts_are_frozen(request, corpus, count, expected):
     for s in corpus:
         digest.update(_verdict_record(s).encode() + b"\n")
     assert digest.hexdigest() == expected
+
+
+# ---------------------------------------------------------------------------
+# the kernel's inverse-pair witnesses against their literal readings
+
+
+def _inverse_pair_comparison(corpus):
+    """The (condition, structure) pairs where the catalog's verdict, holds
+    and least witness, differs from the literal reference's, and how many
+    structures fail each condition."""
+    wrong, failing = [], Counter()
+    for s in corpus:
+        f = facts(s)
+        for cid, reference in oracles.INVERSE_PAIR_REFERENCES.items():
+            verdict = reference(s)
+            failing[cid] += not verdict[0]
+            if CONDITIONS[cid].fn(f) != verdict:
+                wrong.append((cid, s))
+    return wrong, failing
+
+
+# L4.3 fails on no structure of order <= 4, L4.4 on none of order <= 3
+@pytest.mark.parametrize("corpus, count, failing", [
+    ("corpus_upto3_labelled", 992, {"L4.1": 199, "L4.2": 199, "TESF": 398}),
+    pytest.param("corpus_order4_iso", 4753,
+                 {"L4.1": 1136, "L4.2": 1136, "L4.4": 10, "TESF": 2232},
+                 marks=pytest.mark.slow),
+], ids=["upto-3-labelled", "order-4-iso"])
+def test_inverse_pair_witnesses_match_literal_readings(request, corpus, count, failing):
+    corpus = request.getfixturevalue(corpus)
+    assert len(corpus) == count
+    wrong, failed = _inverse_pair_comparison(corpus)
+    assert wrong == []
+    assert +failed == failing
 
 
 # ---------------------------------------------------------------------------

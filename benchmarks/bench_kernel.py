@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-Times the three kernel entry points at a chosen order on both backends
+Times the four kernel entry points at a chosen order on both backends
 and prints a comparison table.  The table search is timed three times:
 over the discrete order (the associative tables), over every labelled
 poset (the plain search, which the tests keep as the reference for the
 labelled stream) and, keeping the least table of each orbit under the
 poset's automorphisms, over one poset per isomorphism class (the search
-behind enumeration in both modes: one table per class).  Fact rows are
-timed over those classes, one record each, as a sweep builds them.
+behind enumeration in both modes: one table per class).  Axiom witnesses
+and fact rows are timed over those classes, once each, as a sweep
+validates each class and builds its record.
 
 Usage:
     python benchmarks/bench_kernel.py [--order N] [--repeat K]
@@ -81,11 +82,10 @@ def bench(backend, n, repeat):
         for table in backend.enumerate_valid_tables(n, leq, orbit_minimal=True)
     ]
 
-    def fact_rows_all():
-        return [backend.fact_rows(table, leq, n) for table, leq in structures]
-
-    elapsed, _ = best_of(repeat, fact_rows_all)
-    rows.append((f"fact rows for {len(structures)} classes", elapsed))
+    for name in ("axiom_witnesses", "fact_rows"):
+        entry = getattr(backend, name)
+        elapsed, _ = best_of(repeat, lambda: [entry(t, leq, n) for t, leq in structures])
+        rows.append((f"{name.replace('_', ' ')} for {len(structures)} classes", elapsed))
 
     return rows
 

@@ -1,6 +1,7 @@
-"""Pure-Python reference implementation of the three kernel entry points:
+"""Pure-Python reference implementation of the four kernel entry points:
 the table search, optionally up to the order's automorphisms, canonical
-keys, and the fact rows that the catalog conditions read.
+keys, the axiom witnesses that validation reports, and the fact rows that
+the catalog conditions read.
 
 Same contract as the compiled module ``osgkit._kernel`` (built from
 ``_kernelmodule.c``): tables travel as row-major bytes, orders stay within
@@ -179,6 +180,39 @@ def canonical_key(mult: bytes, leq: bytes, n: int) -> bytes:
     return bytes([n]) + best
 
 
+def axiom_witnesses(mult: bytes, leq: bytes, n: int) -> tuple:
+    """The least witness of each axiom of ``osgkit.structure.AXIOM_KINDS``,
+    in that order, or None where it holds: (i, j, k) for associativity and
+    transitivity, (i,) for reflexivity, (i, j) for antisymmetry, and
+    (a, b, x) for left and right compatibility, where a <= b but the
+    products of x with a and b are not ordered."""
+    _check(n, leq, mult)
+    return _axiom_witnesses(mult, leq, n)
+
+
+def _axiom_witnesses(mult, leq, n: int) -> tuple:
+    """:func:`axiom_witnesses` with no checks, on any flat row-major
+    sequences of ints at any order: validation above MAX_ORDER."""
+    rng = range(n)
+    mult = [mult[a * n : a * n + n] for a in rng]
+    leq = [leq[a * n : a * n + n] for a in rng]
+    order_pairs = [(a, b) for a in rng for b in rng if leq[a][b]]
+    scans = (
+        ((i, j, k) for i, row in enumerate(mult)
+         for j, ij in enumerate(row) for k in rng
+         if mult[ij][k] != row[mult[j][k]]),
+        ((i,) for i in rng if not leq[i][i]),
+        ((i, j) for i, j in order_pairs if i != j and leq[j][i]),
+        ((i, j, k) for i, j in order_pairs for k in rng
+         if leq[j][k] and not leq[i][k]),
+        ((a, b, x) for a, b in order_pairs for x in rng
+         if not leq[mult[x][a]][mult[x][b]]),
+        ((a, b, x) for a, b in order_pairs for x in rng
+         if not leq[mult[a][x]][mult[b][x]]),
+    )
+    return tuple(next(scan, None) for scan in scans)
+
+
 def _mask(elements) -> int:
     bits = 0
     for v in elements:
@@ -203,14 +237,32 @@ def _classes(keys) -> tuple[int, ...]:
     return tuple([members[key] for key in keys])
 
 
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _first_stray(strays):
+    """The first (e, v) over the (e, mask) pairs given, v the least member
+    of the first nonempty mask, or None."""
+    return next(((e, _lowest(bits)) for e, bits in strays if bits), None)
+
+
 def fact_rows(mult: bytes, leq: bytes, n: int) -> tuple:
     """One table's fact record, each subset of the carrier an int mask
-    with bit v for element v, as the tuple (up, down, row, col, pxq, inv,
-    inv_mask, idem, idem_mask, not_regular, not_completely_regular, L, R,
-    J, H, hc, filters, not_left_matched, not_right_matched, not_conjugate,
-    not_reproduced, not_sandwich_closed); ``osgkit.properties.Facts``
-    names each field.  Products keep the bracketing of their definitions,
-    so the record is defined for any table, associative or not, under any
+    with bit v for element v, as the 38-field tuple (up, down, row, col,
+    pxq, inv, inv_mask, idem, idem_mask, not_regular,
+    not_completely_regular, L, R, J, H, hc, filters, not_left_matched,
+    not_right_matched, not_conjugate, not_reproduced, not_sandwich_closed,
+    not_left_generated, not_right_generated, inverses_not_h_related,
+    idempotent_inverses_not_h_related, idempotents_not_commuting,
+    idempotents_not_central, lr_idempotents_not_h_related,
+    j_idempotents_not_h_related, pair_products_not_commuting,
+    idempotent_pair_products_not_commuting,
+    idempotent_inverses_not_commuting, sigma_not_group_like,
+    idempotent_products_not_h_related, greens_not_coinciding,
+    powers_not_witnessed, sigma_not_j); ``osgkit.properties.Facts`` names
+    each field.  Products keep the bracketing of their definitions, so the
+    record is defined for any table, associative or not, under any
     relation."""
     _check(n, leq, mult)
     return _fact_rows(mult, leq, n)
@@ -255,13 +307,19 @@ def _fact_rows(mult, leq, n: int) -> tuple:
         _mask([b for b in span if pxq[b][a] & up[m[a][b]] and pxq[a][b] & up[m[b][a]]])
         for a in span
     )
-    idem_mask = _mask(idem)
+    idem_mask, inv_mask = _mask(idem), tuple(map(_mask, inv))
+    filters = _least_filters(m, up)
+    L, R, J = greens
+    sigma = _classes(filters)
+    # {c*b : c in b's sigma-class} and {a*c : c in a's sigma-class}
+    cb = [_mask([m[c][b] for c in span if sigma[b] >> c & 1]) for b in span]
+    ac = [_mask([m[a][c] for c in span if sigma[a] >> c & 1]) for a in span]
     return (
-        tuple(up), tuple(down), tuple(row), tuple(col), pxq, inv, tuple(map(_mask, inv)),
+        tuple(up), tuple(down), tuple(row), tuple(col), pxq, inv, inv_mask,
         idem, idem_mask,
         next((a for a in span if not pxq[a][a] & up[a]), None),
         next((a for a in span if not pxq[sq[a]][sq[a]] & up[a]), None),
-        *greens, h, hc, _least_filters(m, up),
+        *greens, h, hc, filters,
         # L4.1 compares the H rows of a'a and b'b, L4.2 those of aa' and bb'
         _unmatched(inv, greens[0], [[h[m[ap][a]] for ap in inv[a]] for a in span]),
         _unmatched(inv, greens[1], [[h[m[a][ap]] for ap in inv[a]] for a in span]),
@@ -274,7 +332,54 @@ def _fact_rows(mult, leq, n: int) -> tuple:
         next(((e, g, x, y) for e in idem for g in idem
               for inside, back in [(_union(down, pxq[e][g]), _union(down, pxq[g][e]))]
               for x in span if inside >> x & 1 for y in inv[x] if not back >> y & 1), None),
+        _not_generated(L, h, idem, idem_mask),
+        _not_generated(R, h, idem, idem_mask),
+        _inverses_apart(span, inv, inv_mask, h),
+        _inverses_apart(idem, inv, inv_mask, h),
+        _first_stray((e, idem_mask & ~hc[e]) for e in idem),
+        _first_stray((e, (1 << n) - 1 & ~hc[e]) for e in idem),
+        _first_stray((e, idem_mask & (L[e] | R[e]) & ~h[e]) for e in idem),
+        _first_stray((e, idem_mask & J[e] & ~h[e]) for e in idem),
+        # aa' and a'a are H-commutative, for a over the carrier, then idem
+        next(((a, ap) for a in span for ap in inv[a] if not hc[m[a][ap]] >> m[ap][a] & 1), None),
+        next(((a, ap) for a in idem for ap in inv[a] if not hc[m[a][ap]] >> m[ap][a] & 1), None),
+        _inverses_apart(idem, inv, inv_mask, hc),
+        # a and b share a sigma-class C, and a is outside (Cb] or b outside (aC]
+        next(((a, b) for a in span for b in span
+              if sigma[a] >> b & 1 and not (cb[b] & up[a] and ac[a] & up[b])), None),
+        next(((a, b) for a in span for b in span
+              for ab, ba in [(m[a][b], m[b][a])]
+              if idem_mask >> ab & 1 and idem_mask >> ba & 1 and h[ab] != h[ba]), None),
+        # the least b > a that one of L, R, J relates to a differently from H
+        next(((a, a + 1 + _lowest(split)) for a in span
+              for split in [((L[a] ^ h[a]) | (R[a] ^ h[a]) | (J[a] ^ h[a])) >> a + 1]
+              if split), None),
+        # one x with a <= (ax)a2 and a <= (a2x)a
+        next(((a,) for a in span for aa in [m[a][a]]
+              if not any(up[a] >> m[m[a][x]][aa] & 1 and up[a] >> m[m[aa][x]][a] & 1
+                         for x in span)), None),
+        next(((a, b) for a in span for b in range(a + 1, n)
+              if (filters[a] == filters[b]) != (J[a] == J[b])), None),
     )
+
+
+def _not_generated(same, h, idem, idem_mask):
+    """T33.L's (same is L) or T33.R's (R) witness, or None: (x,) for the
+    least x whose principal ideal of the side no ordered idempotent
+    generates (equal ideals, equal rows of same), else the least (e, f) of
+    ordered idempotents generating equal ideals and not H-related."""
+    missing = (1 << len(same)) - 1 & ~_union(same, idem_mask)
+    if missing:
+        return (_lowest(missing),)
+    return _first_stray((e, idem_mask & same[e] & ~h[e]) for e in idem)
+
+
+def _inverses_apart(elements, inv, inv_mask, rows):
+    """The least (a, b, c) over a in elements and inverses b and c of a
+    with c outside rows[b], or None.  When rows are the H classes, only
+    a's least inverse b can have one."""
+    return next(((a, b, _lowest(stray)) for a in elements for b in inv[a]
+                 for stray in [inv_mask[a] & ~rows[b]] if stray), None)
 
 
 def _unmatched(inv, side, rows):

@@ -1,5 +1,6 @@
-/* Compiled kernels, module osgkit._kernel, with three entry points: the
- * table search, canonical keys, and the fact rows of one structure.
+/* Compiled kernels, module osgkit._kernel, with four entry points: the
+ * table search, canonical keys, the axiom witnesses of one table, and the
+ * fact rows of one structure.
  *
  * Same contract as the pure-Python reference osgkit._kernel_py: tables
  * travel as row-major bytes and orders are capped at MAX_ORDER = 5, so
@@ -389,12 +390,136 @@ witness(const mask_t *w, int len)
     return mask_tuple(w, len);
 }
 
-/* Write the witness (p, q, r, s) to w; returns its length. */
+/* Write the witness (p, q), (p, q, r) or (p, q, r, s) to w; returns its
+ * length. */
+static int
+put2(mask_t *w, int p, int q)
+{
+    w[0] = p, w[1] = q;
+    return 2;
+}
+
+static int
+put3(mask_t *w, int p, int q, int r)
+{
+    w[0] = p, w[1] = q, w[2] = r;
+    return 3;
+}
+
 static int
 put4(mask_t *w, int p, int q, int r, int s)
 {
     w[0] = p, w[1] = q, w[2] = r, w[3] = s;
     return 4;
+}
+
+/* The least member of a nonempty mask. */
+static int
+lowest(mask_t bits)
+{
+    int v = 0;
+
+    while (!(bits >> v & 1))
+        v++;
+    return v;
+}
+
+/* The axiom scans of validate, each returning the length of its least
+ * witness, 0 for none: associativity (i, j, k) with (ij)k != i(jk). */
+static int
+non_associative(table_t m, int n, mask_t *w)
+{
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            for (int k = 0; k < n; k++)
+                if (m[m[i * n + j] * n + k] != m[i * n + m[j * n + k]])
+                    return put3(w, i, j, k);
+    return 0;
+}
+
+/* reflexivity (i,), antisymmetry (i, j) and transitivity (i, j, k), over
+ * the pairs i <= j ascending */
+static int
+not_reflexive(table_t leq, int n, mask_t *w)
+{
+    for (int i = 0; i < n; i++)
+        if (!leq[i * n + i]) {
+            w[0] = i;
+            return 1;
+        }
+    return 0;
+}
+
+static int
+not_antisymmetric(table_t leq, int n, mask_t *w)
+{
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            if (leq[i * n + j] && i != j && leq[j * n + i])
+                return put2(w, i, j);
+    return 0;
+}
+
+static int
+not_transitive(table_t leq, int n, mask_t *w)
+{
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            for (int k = 0; leq[i * n + j] && k < n; k++)
+                if (leq[j * n + k] && !leq[i * n + k])
+                    return put3(w, i, j, k);
+    return 0;
+}
+
+/* left (x multiplies on the left) and right compatibility (a, b, x): a <= b
+ * but xa <= xb (left), resp. ax <= bx, fails */
+static int
+not_compatible(table_t m, table_t leq, int left, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            for (int x = 0; leq[a * n + b] && x < n; x++)
+                if (left ? !leq[m[x * n + a] * n + m[x * n + b]]
+                         : !leq[m[a * n + x] * n + m[b * n + x]])
+                    return put3(w, a, b, x);
+    return 0;
+}
+
+#define AXIOMS 6
+
+/* The least witness of each axiom, in validate's order (associativity,
+ * reflexivity, antisymmetry, transitivity, left and right compatibility),
+ * or None where it holds; _kernel_py.axiom_witnesses is the reference. */
+static PyObject *
+axiom_witnesses(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"mult", "leq", "n", NULL};
+    table_t m, leq;
+    Py_ssize_t mlen, llen;
+    int n, len[AXIOMS];
+    mask_t w[AXIOMS][3];
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#y#i", kwlist,
+                                     &m, &mlen, &leq, &llen, &n)
+        || check_order(n) < 0 || check_mult(m, mlen, n) < 0
+        || check_size("leq", llen, n) < 0)
+        return NULL;
+
+    len[0] = non_associative(m, n, w[0]);
+    len[1] = not_reflexive(leq, n, w[1]);
+    len[2] = not_antisymmetric(leq, n, w[2]);
+    len[3] = not_transitive(leq, n, w[3]);
+    len[4] = not_compatible(m, leq, 1, n, w[4]);
+    len[5] = not_compatible(m, leq, 0, n, w[5]);
+    PyObject *out = PyTuple_New(AXIOMS);
+    for (int k = 0; out != NULL && k < AXIOMS; k++) {
+        PyObject *item = witness(w[k], len[k]);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, item);
+    }
+    return out;
 }
 
 /* L4.1 (left) and L4.2: the least (a, b, a', b'), a' an inverse of a and
@@ -432,10 +557,8 @@ not_conjugate(table_t m, mask_t pxq[][MAX_ORDER], const mask_t *inv,
             for (int e = 0; e < n; e++)
                 if (idem >> e & 1
                     && !(pxq[m[a * n + e]][ap] & idem
-                         && pxq[m[ap * n + e]][a] & idem)) {
-                    w[0] = a, w[1] = ap, w[2] = e;
-                    return 3;
-                }
+                         && pxq[m[ap * n + e]][a] & idem))
+                    return put3(w, a, ap, e);
         }
     return 0;
 }
@@ -490,13 +613,145 @@ not_sandwich_closed(mask_t pxq[][MAX_ORDER], const mask_t *inv,
     return 0;
 }
 
-#define FACT_FIELDS 22
+/* The first (e, v) over the members e of keys, v the least member of
+ * stray[e], with stray[e] nonempty. */
+static int
+first_stray(mask_t keys, const mask_t *stray, int n, mask_t *w)
+{
+    for (int e = 0; e < n; e++)
+        if (keys >> e & 1 && stray[e])
+            return put2(w, e, lowest(stray[e]));
+    return 0;
+}
+
+/* T33.L (same is L) and T33.R (R): (x,) for the least x whose principal
+ * ideal of the side no ordered idempotent generates (equal ideals, equal
+ * rows of same), else the least (e, f) of ordered idempotents generating
+ * equal ideals and not H-related. */
+static int
+not_generated(const mask_t *same, const mask_t *h, mask_t idem, int n, mask_t *w)
+{
+    mask_t missing = ((1u << n) - 1) & ~union_of(same, idem, n), stray[MAX_ORDER];
+
+    if (missing) {
+        w[0] = lowest(missing);
+        return 1;
+    }
+    for (int e = 0; e < n; e++)
+        stray[e] = idem & same[e] & ~h[e];
+    return first_stray(idem, stray, n, w);
+}
+
+/* T35.1 and C.3 (rows H), C.4 (rows hc): the least (a, b, c) over the
+ * members a of keys and inverses b and c of a with c outside rows[b]. */
+static int
+inverses_apart(mask_t keys, const mask_t *inv, const mask_t *rows, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = 0; keys >> a & 1 && b < n; b++)
+            if (inv[a] >> b & 1 && inv[a] & ~rows[b])
+                return put3(w, a, b, lowest(inv[a] & ~rows[b]));
+    return 0;
+}
+
+/* C.2 and C.5: the least (a, a') over the members a of keys and inverses
+ * a' of a with aa' and a'a not H-commutative. */
+static int
+products_apart(mask_t keys, table_t m, const mask_t *inv, const mask_t *hc,
+               int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int ap = 0; keys >> a & 1 && ap < n; ap++)
+            if (inv[a] >> ap & 1 && !(hc[m[a * n + ap]] >> m[ap * n + a] & 1))
+                return put2(w, a, ap);
+    return 0;
+}
+
+/* B.2: the least (a, b) in one sigma-class C with a outside (Cb] or b
+ * outside (aC], given cb[b] = {cb : c in C} and ac[a] = {ac : c in C}. */
+static int
+sigma_not_group_like(const mask_t *sigma, const mask_t *cb, const mask_t *ac,
+                     const mask_t *up, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            if (sigma[a] >> b & 1 && !(cb[b] & up[a] && ac[a] & up[b]))
+                return put2(w, a, b);
+    return 0;
+}
+
+/* B.3: the least (a, b) with ab and ba ordered idempotents, not H-related. */
+static int
+products_not_h_related(table_t m, mask_t idem, const mask_t *h, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++) {
+            int ab = m[a * n + b], ba = m[b * n + a];
+            if (idem >> ab & 1 && idem >> ba & 1 && h[ab] != h[ba])
+                return put2(w, a, b);
+        }
+    return 0;
+}
+
+/* B.6: the least (a, b), b > a, that one of L, R, J relates differently
+ * from H. */
+static int
+greens_apart(mask_t green[][MAX_ORDER], int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++) {
+        mask_t h = green[3][a],
+            split = ((green[0][a] ^ h) | (green[1][a] ^ h) | (green[2][a] ^ h)) >> (a + 1);
+        if (split)
+            return put2(w, a, a + 1 + lowest(split));
+    }
+    return 0;
+}
+
+/* CR.W: the least (a,) with no single x giving both a <= (ax)a2 and
+ * a <= (a2x)a. */
+static int
+powers_not_witnessed(table_t m, const mask_t *up, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++) {
+        int aa = m[a * n + a], found = 0;
+        for (int x = 0; x < n && !found; x++)
+            found = up[a] >> m[m[a * n + x] * n + aa] & 1
+                && up[a] >> m[m[aa * n + x] * n + a] & 1;
+        if (!found) {
+            w[0] = a;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* CR.J: the least (a, b), a < b, where equal filters and equal J rows
+ * disagree. */
+static int
+sigma_not_j(const mask_t *filters, const mask_t *j, int n, mask_t *w)
+{
+    for (int a = 0; a < n; a++)
+        for (int b = a + 1; b < n; b++)
+            if ((filters[a] == filters[b]) != (j[a] == j[b]))
+                return put2(w, a, b);
+    return 0;
+}
+
+#define FACT_FIELDS 38
 
 /* The fact record of one table as the tuple (up, down, row, col, pxq, inv,
  * inv_mask, idem, idem_mask, not_regular, not_completely_regular, L, R, J,
- * H, hc, filters, not_left_matched, not_right_matched, not_conjugate,
- * not_reproduced, not_sandwich_closed), each subset a mask and each of the
- * last five the least failing tuple of its scan or None;
+ * H, hc, filters, then the least failing tuple of each catalog scan or
+ * None: not_left_matched, not_right_matched, not_conjugate,
+ * not_reproduced, not_sandwich_closed, not_left_generated,
+ * not_right_generated, inverses_not_h_related,
+ * idempotent_inverses_not_h_related, idempotents_not_commuting,
+ * idempotents_not_central, lr_idempotents_not_h_related,
+ * j_idempotents_not_h_related, pair_products_not_commuting,
+ * idempotent_pair_products_not_commuting,
+ * idempotent_inverses_not_commuting, sigma_not_group_like,
+ * idempotent_products_not_h_related, greens_not_coinciding,
+ * powers_not_witnessed, sigma_not_j), each subset a mask;
  * _kernel_py.fact_rows is the reference.  Products keep the bracketing of
  * their definitions. */
 static PyObject *
@@ -579,6 +834,23 @@ fact_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         }
         filters[a] = f;
     }
+    /* the masks the scans of T35.2, B.4, T35.3 and B.5 read, and the
+     * products within each sigma-class that B.2's reads */
+    mask_t full = (1u << n) - 1, stray[4][MAX_ORDER], sigma[MAX_ORDER],
+        cb[MAX_ORDER], ac[MAX_ORDER];
+    classes_of(filters, sigma, n);
+    for (int a = 0; a < n; a++) {
+        stray[0][a] = idem & ~hc[a];
+        stray[1][a] = full & ~hc[a];
+        stray[2][a] = idem & (green[0][a] | green[1][a]) & ~green[3][a];
+        stray[3][a] = idem & green[2][a] & ~green[3][a];
+        cb[a] = ac[a] = 0;
+        for (int c = 0; c < n; c++)
+            if (sigma[a] >> c & 1) {
+                cb[a] |= 1u << m[c * n + a];
+                ac[a] |= 1u << m[a * n + c];
+            }
+    }
 
     PyObject *rec = PyTuple_New(FACT_FIELDS), *item;
     int k = 0;
@@ -623,6 +895,20 @@ fact_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     PUT(witness(w, not_conjugate(m, pxq, inv, idem, n, w)));
     PUT(witness(w, not_reproduced(m, pxq, inv, up, n, w)));
     PUT(witness(w, not_sandwich_closed(pxq, inv, down, idem, n, w)));
+    PUT(witness(w, not_generated(green[0], green[3], idem, n, w)));
+    PUT(witness(w, not_generated(green[1], green[3], idem, n, w)));
+    PUT(witness(w, inverses_apart(full, inv, green[3], n, w)));
+    PUT(witness(w, inverses_apart(idem, inv, green[3], n, w)));
+    for (int r = 0; r < 4; r++)
+        PUT(witness(w, first_stray(idem, stray[r], n, w)));
+    PUT(witness(w, products_apart(full, m, inv, hc, n, w)));
+    PUT(witness(w, products_apart(idem, m, inv, hc, n, w)));
+    PUT(witness(w, inverses_apart(idem, inv, hc, n, w)));
+    PUT(witness(w, sigma_not_group_like(sigma, cb, ac, up, n, w)));
+    PUT(witness(w, products_not_h_related(m, idem, green[3], n, w)));
+    PUT(witness(w, greens_apart(green, n, w)));
+    PUT(witness(w, powers_not_witnessed(m, up, n, w)));
+    PUT(witness(w, sigma_not_j(filters, green[2], n, w)));
 #undef PUT
     return rec;
 fail:
@@ -640,6 +926,8 @@ static PyMethodDef kernel_methods[] = {
            "order's automorphisms."),
     METHOD(canonical_key,
            "Minimum over relabelings of order byte + mult table + leq matrix."),
+    METHOD(axiom_witnesses,
+           "The least witness of each axiom, in validate's order, or None."),
     METHOD(fact_rows,
            "One table's fact record, each subset of the carrier an int mask."),
     {NULL, NULL, 0, NULL},

@@ -1,9 +1,11 @@
 """Kernel selection: compiled extension when importable, pure Python otherwise.
 
-Each backend exports three entry points for orders 1..``MAX_ORDER``: the
-table search ``enumerate_valid_tables``, ``canonical_key``, and
-``fact_rows``, one structure's fact record as bit-mask rows and scan
-witnesses (see ``osgkit.properties.Facts``).  With ``orbit_minimal=True``
+Each backend exports four entry points for orders 1..``MAX_ORDER``: the
+table search ``enumerate_valid_tables``, ``canonical_key``,
+``axiom_witnesses``, the least failing tuple of each axiom that
+``osgkit.structure.validate`` checks, and ``fact_rows``, one structure's
+fact record as bit-mask rows and the catalog's 21 scan witnesses, 38
+fields in all (see ``osgkit.properties.Facts``).  With ``orbit_minimal=True``
 the search keeps only the least table of each orbit under the order's
 automorphisms: one table per isomorphism class of ordered semigroups over
 that order.  The compiled module ``osgkit._kernel`` is built by
@@ -28,6 +30,7 @@ MAX_ORDER: int = _impl.MAX_ORDER
 
 enumerate_valid_tables = _impl.enumerate_valid_tables
 canonical_key = _impl.canonical_key
+axiom_witnesses = _impl.axiom_witnesses
 fact_rows = _impl.fact_rows
 
 

@@ -40,11 +40,6 @@ def union_of(masks, bits: int) -> int:
     return out
 
 
-def lowest(bits: int) -> int:
-    """The least member of a nonempty mask."""
-    return (bits & -bits).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class PropertyReport:
     prop: str
@@ -71,11 +66,24 @@ class Facts:
     holds the elements H-commutative with a; filters[a] is the least
     filter containing a, and sigma relates the elements whose filters are
     equal.  The partitions of Green's relations and of sigma are built
-    from these rows by :mod:`osgkit.relations`.  The last five are the
-    least failing tuples of the inverse-pair scans, in the catalog's scan
-    order, or None: not_left_matched and not_right_matched, (a, b, a', b')
-    for L4.1 and L4.2; not_conjugate, (a, a', e) for L4.3; not_reproduced,
-    (a, b, a', b') for L4.4; not_sandwich_closed, (e, f, x, x') for TESF.
+    from these rows by :mod:`osgkit.relations`.  The last 21 are the
+    least failing tuples of the catalog's scans, in its scan order, or
+    None: not_left_matched and not_right_matched, (a, b, a', b') for L4.1
+    and L4.2; not_conjugate, (a, a', e) for L4.3; not_reproduced,
+    (a, b, a', b') for L4.4; not_sandwich_closed, (e, f, x, x') for TESF;
+    not_left_generated and not_right_generated for T33.L and T33.R, (x,)
+    when no ordered idempotent generates x's principal ideal, else (e, f);
+    inverses_not_h_related (a, b, c) for T35.1 and
+    idempotent_inverses_not_h_related for C.3; idempotents_not_commuting
+    (e, f) for T35.2 and idempotents_not_central (e, x) for B.4;
+    lr_idempotents_not_h_related (e, f) for T35.3 and
+    j_idempotents_not_h_related for B.5; pair_products_not_commuting
+    (a, a') for C.2 and idempotent_pair_products_not_commuting for C.5;
+    idempotent_inverses_not_commuting (e, b, c) for C.4;
+    sigma_not_group_like (a, b), two elements of one sigma-class C with a
+    outside (Cb] or b outside (aC], for B.2; and (a, b) for B.3
+    (idempotent_products_not_h_related), B.6 (greens_not_coinciding) and
+    CR.J (sigma_not_j), (a,) for CR.W (powers_not_witnessed).
     """
 
     s: OrderedSemigroup
@@ -103,6 +111,22 @@ class Facts:
     not_conjugate: tuple[int, int, int] | None
     not_reproduced: tuple[int, int, int, int] | None
     not_sandwich_closed: tuple[int, int, int, int] | None
+    not_left_generated: tuple[int, ...] | None
+    not_right_generated: tuple[int, ...] | None
+    inverses_not_h_related: tuple[int, int, int] | None
+    idempotent_inverses_not_h_related: tuple[int, int, int] | None
+    idempotents_not_commuting: tuple[int, int] | None
+    idempotents_not_central: tuple[int, int] | None
+    lr_idempotents_not_h_related: tuple[int, int] | None
+    j_idempotents_not_h_related: tuple[int, int] | None
+    pair_products_not_commuting: tuple[int, int] | None
+    idempotent_pair_products_not_commuting: tuple[int, int] | None
+    idempotent_inverses_not_commuting: tuple[int, int, int] | None
+    sigma_not_group_like: tuple[int, int] | None
+    idempotent_products_not_h_related: tuple[int, int] | None
+    greens_not_coinciding: tuple[int, int] | None
+    powers_not_witnessed: tuple[int] | None
+    sigma_not_j: tuple[int, int] | None
 
     def regularity(self, kind: str) -> PropertyReport:
         if kind == "regular":
@@ -151,36 +175,16 @@ class Facts:
     def inverse(self) -> PropertyReport:
         if self.not_regular is not None:
             return PropertyReport("inverse", False, (self.not_regular,), notes="not regular")
-        holds, witness = self.inverses_h_related(range(self.n))
-        return PropertyReport("inverse", holds, witness)
-
-    def inverses_h_related(self, elements):
-        """(holds, witness): any two inverses of each a in elements share
-        an H-class; a failing witness is the first (a, b, c) with b and c
-        inverses of a not H-related, scanning b and then c ascending."""
-        for a in elements:
-            others = self.inv_mask[a]
-            if others:
-                b = lowest(others)
-                stray = others & ~self.H[b]
-                if stray:
-                    return False, (a, b, lowest(stray))
-        return True, None
+        witness = self.inverses_not_h_related
+        return PropertyReport("inverse", witness is None, witness)
 
     def generator_uniqueness(self, side: str) -> PropertyReport:
         prop = f"generator_uniqueness_{side}"
-        # principal ideals of the side are equal exactly when their
-        # generators are L- (left) or R- (right) related
-        same = self.L if side == "left" else self.R
-        missing = ((1 << self.n) - 1) & ~union_of(same, self.idem_mask)
-        if missing:
-            return PropertyReport(prop, False, (lowest(missing),), notes="no idempotent generator")
-        for e in self.idem:
-            stray = self.idem_mask & same[e] & ~self.H[e]
-            if stray:
-                return PropertyReport(prop, False, (e, lowest(stray)),
-                                      notes="generators not H-related")
-        return PropertyReport(prop, True)
+        witness = self.not_left_generated if side == "left" else self.not_right_generated
+        if witness is None:
+            return PropertyReport(prop, True)
+        notes = "no idempotent generator" if len(witness) == 1 else "generators not H-related"
+        return PropertyReport(prop, False, witness, notes=notes)
 
 
 def facts(s: OrderedSemigroup) -> Facts:

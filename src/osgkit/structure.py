@@ -263,27 +263,20 @@ def validate(s: OrderedSemigroup) -> ValidationReport:
     Reports the lexicographically least witness for each failed axiom:
     (i, j, k) for associativity and transitivity, (i,) for reflexivity,
     (i, j) for antisymmetry, and (a, b, x) for compatibility where a <= b
-    but the products of x with a and b are not ordered.  Works at any order.
+    but the products of x with a and b are not ordered.  The kernel scans
+    the axioms (``kernel.axiom_witnesses``); above its orders, the
+    reference scans do, which have no cap.  Works at any order.
     """
-    mult, leq = s.mult, s.leq
-    rng = range(s.order)
-    order_pairs = [(a, b) for a in rng for b in rng if leq[a][b]]
-    scans = (
-        ("associativity", ((i, j, k) for i, row in enumerate(mult)
-                           for j, ij in enumerate(row) for k in rng
-                           if mult[ij][k] != row[mult[j][k]])),
-        ("reflexivity", ((i,) for i in rng if not leq[i][i])),
-        ("antisymmetry", ((i, j) for i, j in order_pairs if i != j and leq[j][i])),
-        ("transitivity", ((i, j, k) for i, j in order_pairs for k in rng
-                          if leq[j][k] and not leq[i][k])),
-        ("left_compatibility", ((a, b, x) for a, b in order_pairs for x in rng
-                                if not leq[mult[x][a]][mult[x][b]])),
-        ("right_compatibility", ((a, b, x) for a, b in order_pairs for x in rng
-                                 if not leq[mult[a][x]][mult[b][x]])),
-    )
+    n = s.order
+    if n <= kernel.MAX_ORDER:
+        witnesses = kernel.axiom_witnesses(*s.flat(), n)
+    else:
+        from osgkit import _kernel_py  # imported only for large structures
+
+        witnesses = _kernel_py._axiom_witnesses(tuple(chain(*s.mult)), tuple(chain(*s.leq)), n)
     failures = tuple(
-        AxiomFailure(axiom, witness) for axiom, scan in scans
-        if (witness := next(scan, None)) is not None
+        AxiomFailure(axiom, witness) for axiom, witness in zip(AXIOM_KINDS, witnesses)
+        if witness is not None
     )
     return ValidationReport(not failures, failures)
 

@@ -2,14 +2,12 @@
 
 Each catalog condition is a decidable statement about one valid
 structure, decided on its fact record (:func:`osgkit.properties.facts`).
-Lemma 4's four inverse-pair laws (L4.1-L4.4) and the sandwich-set
-condition (TESF) read the record's witnesses, scanned by the kernel as
-it builds the record.  The others are bounded quantifier scans over the
-record, where each inner existential scan is one bit-mask test, and each
-inner universal scan over a set of elements tests a whole row: Green's
-classes and H-commutation are read from the record's rows, so the
-witness of a row test is its lowest stray bit.  Witnesses are
-lexicographically least over the scan order.  Theorem
+Every condition reads a kernel witness: the kernel scans each
+condition's element tuples as it builds the record, and keeps the least
+failing tuple in the scan order, or None (``osgkit.properties.Facts``
+lists them).  A condition combines its witness with the record's
+regularity or complete regularity where its statement does, and B.2
+returns sigma's classes when it holds.  Theorem
 groupings bundle conditions that are expected to agree (equivalences),
 to follow from the first condition (implications), or to hold outright,
 under an ambient hypothesis.
@@ -29,10 +27,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import count, groupby
 from typing import Callable, Iterable
 
-from osgkit.properties import Facts, facts, lowest
+from osgkit.properties import Facts, facts
 from osgkit.relations import Partition
 from osgkit.structure import OrderedSemigroup, is_valid, structure_key
 
@@ -89,77 +87,30 @@ class Theorem:
 
 
 # ---------------------------------------------------------------------------
-# condition scans, each over one structure's fact record
+# condition verdicts, each read from one structure's fact record
 
 
 def _report_verdict(report) -> Verdict:
     return report.holds, report.witness
 
 
-def _idempotents_h_commute_with(f: Facts, others: int) -> Verdict:
-    """Each ordered idempotent e is H-commutative with each member of the
-    mask others."""
-    for e in f.idem:
-        stray = others & ~f.hc[e]
-        if stray:
-            return False, (e, lowest(stray))
-    return True, None
+def _verdict(witness) -> Verdict:
+    """A kernel scan's verdict: it holds when the scan found no witness."""
+    return witness is None, witness
 
 
-def _regular_and_idempotents_commute(f: Facts) -> Verdict:
-    if f.not_regular is not None:
-        return False, (f.not_regular,)
-    return _idempotents_h_commute_with(f, f.idem_mask)
-
-
-def _green_related_idempotents_h_related(f: Facts, relations) -> Verdict:
-    """Ordered idempotents related by any of the named Green relations
-    are H-related."""
-    rows = [getattr(f, rel) for rel in relations]
-    for e in f.idem:
-        related = 0
-        for row in rows:
-            related |= row[e]
-        stray = f.idem_mask & related & ~f.H[e]
-        if stray:
-            return False, (e, lowest(stray))
-    return True, None
-
-
-def _inverse_pair_products_commute(f: Facts, elements) -> Verdict:
-    """aa' and a'a are H-commutative for each a in elements, each a'."""
-    mult, hc = f.mult, f.hc
-    for a in elements:
-        for ap in f.inv[a]:
-            if not hc[mult[a][ap]] >> mult[ap][a] & 1:
-                return False, (a, ap)
-    return True, None
-
-
-def _idempotent_inverses_h_commute(f: Facts) -> Verdict:
-    """Any two inverses b, c of each ordered idempotent e are
-    H-commutative; the witness is the least such (e, b, c) that are not."""
-    for e in f.idem:
-        for b in f.inv[e]:
-            stray = f.inv_mask[e] & ~f.hc[b]
-            if stray:
-                return False, (e, b, lowest(stray))
-    return True, None
-
-
-def _inverse(f: Facts) -> Verdict:
-    return _report_verdict(f.inverse())
-
-
-def _completely_regular(f: Facts) -> Verdict:
-    return _report_verdict(f.regularity("completely_regular"))
+def _when_completely_regular(f: Facts, witness) -> Verdict:
+    """An implication from complete regularity, vacuous without it."""
+    return (True, None) if f.not_completely_regular is not None else _verdict(witness)
 
 
 def _group_like_decomposition(f: Facts) -> Verdict:
     """S is a complete semilattice of group-like ordered semigroups exactly
     when every class of sigma, the least complete semilattice congruence,
     is group-like; the witness is sigma's classes.  Each class, a
-    subsemigroup, is tested on S's own record (``Facts.not_group_like``).
+    subsemigroup, is tested on S's own record: ``sigma_not_group_like``
+    is None exactly when ``Facts.not_group_like`` finds nothing on any
+    class.
 
     Proof.  Let rho be a complete semilattice congruence whose classes are
     all group-like.  sigma is contained in rho, because sigma is the least.
@@ -172,65 +123,14 @@ def _group_like_decomposition(f: Facts) -> Verdict:
     sigma is the only partition that can serve, and the decomposition in
     the paper's main theorem is unique when it exists.
 
-    A structure that is not regular fails without sigma being built: each
+    A structure that is not regular fails on that alone: each
     group-like class C is regular, a <= ada with d in C
     (``Facts.not_group_like``), so were every sigma-class group-like,
     every element of S would be regular in S.
     """
-    if f.not_regular is not None:
+    if f.not_regular is not None or f.sigma_not_group_like is not None:
         return False, None
-    classes = Partition.from_labels(f.filters).classes
-    if all(f.not_group_like(c) is None for c in classes):
-        return True, classes
-    return False, None
-
-
-def _idempotent_products_h_related(f: Facts) -> Verdict:
-    mult, idem, h = f.mult, f.idem_mask, f.H
-    for a in range(f.n):
-        for b in range(f.n):
-            ab, ba = mult[a][b], mult[b][a]
-            if idem >> ab & 1 and idem >> ba & 1 and h[ab] != h[ba]:
-                return False, (a, b)
-    return True, None
-
-
-def _all_greens_coincide(f: Facts) -> Verdict:
-    """The witness is the least a, b with a < b that one of L, R, J
-    relates differently from H: the lowest bit above a where a's rows
-    differ."""
-    for a in range(f.n):
-        h = f.H[a]
-        split = ((f.L[a] ^ h) | (f.R[a] ^ h) | (f.J[a] ^ h)) >> a + 1
-        if split:
-            return False, (a, a + 1 + lowest(split))
-    return True, None
-
-
-def _cr_gives_witnessed_powers(f: Facts) -> Verdict:
-    if f.not_completely_regular is not None:
-        return True, None
-    mult, leq, span = f.mult, f.s.leq, range(f.n)
-    for a in span:
-        aa = mult[a][a]
-        found = any(
-            leq[a][mult[mult[a][x]][aa]] and leq[a][mult[mult[aa][x]][a]]
-            for x in span
-        )
-        if not found:
-            return False, (a,)
-    return True, None
-
-
-def _cr_least_congruence_is_j(f: Facts) -> Verdict:
-    if f.not_completely_regular is not None:
-        return True, None
-    least, j = f.filters, f.J  # equal filters, equal J rows: related
-    for a in range(f.n):
-        for b in range(a + 1, f.n):
-            if (least[a] == least[b]) != (j[a] == j[b]):
-                return False, (a, b)
-    return True, None
+    return True, Partition.from_labels(f.filters).classes
 
 
 # ---------------------------------------------------------------------------
@@ -244,51 +144,53 @@ def _register(id: str, description: str, ambient: str | None, fn, given=()):
 
 
 _register("T33.L", "principal left ideals have H-unique idempotent generators",
-          None, lambda f: _report_verdict(f.generator_uniqueness("left")))
+          None, lambda f: _verdict(f.not_left_generated))
 _register("T33.R", "principal right ideals have H-unique idempotent generators",
-          None, lambda f: _report_verdict(f.generator_uniqueness("right")))
+          None, lambda f: _verdict(f.not_right_generated))
 _register("T35.1", "inverse: any two inverses of an element are H-related",
-          REGULAR, _inverse)
+          REGULAR, lambda f: _report_verdict(f.inverse()))
 _register("T35.2", "regular with pairwise H-commutative ordered idempotents",
-          None, _regular_and_idempotents_commute)
+          None, lambda f: (False, (f.not_regular,)) if f.not_regular is not None
+          else _verdict(f.idempotents_not_commuting))
 _register("T35.3", "L- or R-related ordered idempotents are H-related",
-          None, lambda f: _green_related_idempotents_h_related(f, ("L", "R")))
+          None, lambda f: _verdict(f.lr_idempotents_not_h_related))
 _register("L4.1", "a L b exactly when a'a H b'b for all inverse choices",
-          REGULAR, lambda f: (f.not_left_matched is None, f.not_left_matched))
+          REGULAR, lambda f: _verdict(f.not_left_matched))
 _register("L4.2", "a R b exactly when aa' H bb' for all inverse choices",
-          REGULAR, lambda f: (f.not_right_matched is None, f.not_right_matched))
+          REGULAR, lambda f: _verdict(f.not_right_matched))
 _register("L4.3", "aexa' and a'eya land in the ordered idempotents for some x, y",
-          REGULAR, lambda f: (f.not_conjugate is None, f.not_conjugate))
+          REGULAR, lambda f: _verdict(f.not_conjugate))
 _register("L4.4", "ab <= abb'xa'ab and b'a' <= b'a'aybb'a' for some x, y",
-          REGULAR, lambda f: (f.not_reproduced is None, f.not_reproduced))
+          REGULAR, lambda f: _verdict(f.not_reproduced))
 _register("TESF", "inverses of members of (eSf] lie in (fSe]",
-          None, lambda f: (f.not_sandwich_closed is None, f.not_sandwich_closed))
+          None, lambda f: _verdict(f.not_sandwich_closed))
 _register("C.1", "inverse: any two inverses of an element are H-related",
           REGULAR, lambda f: (True, None), given=("T35.1",))
 _register("C.2", "aa' and a'a are H-commutative for every inverse pair",
-          REGULAR, lambda f: _inverse_pair_products_commute(f, range(f.n)))
+          REGULAR, lambda f: _verdict(f.pair_products_not_commuting))
 _register("C.3", "any two inverses of an ordered idempotent are H-related",
-          REGULAR, lambda f: f.inverses_h_related(f.idem))
+          REGULAR, lambda f: _verdict(f.idempotent_inverses_not_h_related))
 _register("C.4", "any two inverses of an ordered idempotent are H-commutative",
-          REGULAR, _idempotent_inverses_h_commute)
+          REGULAR, lambda f: _verdict(f.idempotent_inverses_not_commuting))
 _register("C.5", "ee' and e'e are H-commutative for idempotent inverse pairs",
-          REGULAR, lambda f: _inverse_pair_products_commute(f, f.idem))
+          REGULAR, lambda f: _verdict(f.idempotent_pair_products_not_commuting))
 _register("B.1", "inverse and completely regular",
-          REGULAR, _completely_regular, given=("T35.1",))
+          REGULAR, lambda f: _report_verdict(f.regularity("completely_regular")),
+          given=("T35.1",))
 _register("B.2", "complete semilattice decomposition into group-like classes",
           REGULAR, _group_like_decomposition)
 _register("B.3", "ab H ba whenever both products are ordered idempotents",
-          REGULAR, _idempotent_products_h_related)
+          REGULAR, lambda f: _verdict(f.idempotent_products_not_h_related))
 _register("B.4", "every ordered idempotent is H-commutative with every element",
-          REGULAR, lambda f: _idempotents_h_commute_with(f, (1 << f.n) - 1))
+          REGULAR, lambda f: _verdict(f.idempotents_not_central))
 _register("B.5", "J-related ordered idempotents are H-related",
-          REGULAR, lambda f: _green_related_idempotents_h_related(f, ("J",)))
+          REGULAR, lambda f: _verdict(f.j_idempotents_not_h_related))
 _register("B.6", "H, L, R, J all coincide",
-          REGULAR, _all_greens_coincide)
+          REGULAR, lambda f: _verdict(f.greens_not_coinciding))
 _register("CR.W", "complete regularity yields a <= axa2 and a <= a2xa",
-          None, _cr_gives_witnessed_powers)
+          None, lambda f: _when_completely_regular(f, f.powers_not_witnessed))
 _register("CR.J", "complete regularity makes the least complete semilattice "
-          "congruence equal to J", None, _cr_least_congruence_is_j)
+          "congruence equal to J", None, lambda f: _when_completely_regular(f, f.sigma_not_j))
 
 
 THEOREMS: dict[str, Theorem] = {}
@@ -504,14 +406,16 @@ def _decision(f: Facts, theorem: Theorem, decided: dict) -> tuple[bool, bool]:
     return met, not (consistent if met else _consistent(theorem.kind, holds, [True] * len(holds)))
 
 
-def sweep(corpus, theorem_ids=None) -> SweepReport:
+def sweep(corpus, theorem_ids=None, positions=None) -> SweepReport:
     """Check groupings across a corpus; deterministic ordering by
     :func:`~osgkit.structure.structure_key`, the canonical form at orders
     1..5 and the structure's own encoding above them.  A grouping id given
     more than once is swept once.  Invalid corpus members are skipped with
-    a note, in corpus order.  Validity does not change under relabelling,
-    so each class is validated once, on its first copy, after the keys are
-    taken.
+    a note, in corpus order, naming the member's position: its index in
+    corpus, or positions[i] for the i-th member when given (a shard of a
+    file names its members' indices in the file).  Validity does not
+    change under relabelling, so each class is validated once, on its
+    first copy, after the keys are taken.
 
     Isomorphic copies of order at most 5 share their key (above order 5
     each copy is its own class, decided alone), and a condition's
@@ -539,7 +443,7 @@ def sweep(corpus, theorem_ids=None) -> SweepReport:
     keyed = []
     skipped = []
     valid = {}  # key -> validity, decided on the class's first copy
-    for i, s in enumerate(corpus):
+    for i, s in zip(count() if positions is None else positions, corpus):
         key = structure_key(s).hex()
         if key not in valid:
             valid[key] = is_valid(s)

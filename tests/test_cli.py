@@ -439,6 +439,23 @@ def test_check_theorems_corpus_shard(tmp_path):
     assert total == 20
 
 
+def test_check_theorems_corpus_shard_notes_name_file_positions(tmp_path):
+    # records 1 and 3 fail validation: every shard names them by their
+    # index in the file, as the unsharded run does
+    records = [fixture_text(name) for name in ("sl2", "px3", "lz2", "px3")]
+    corpus_file = tmp_path / "c.osg"
+    corpus_file.write_text("---\n".join(records))
+    notes = {}
+    for shard in (None, "0/2", "1/2"):
+        extra = ("--shard", shard) if shard else ()
+        code, doc = run_json("check-theorems", "--corpus", str(corpus_file), *extra)
+        assert code == 0
+        notes[shard] = doc["skipped"]
+    assert notes[None] == [f"corpus[{i}] skipped: fails validation" for i in (1, 3)]
+    assert notes["0/2"] == []
+    assert notes["1/2"] == notes[None]
+
+
 @pytest.mark.parametrize("shard", ["0/0", "5/3", "3/3"])
 def test_check_theorems_rejects_bad_shard(tmp_path, capsys, shard):
     corpus_file = tmp_path / "c.osg"

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from dataclasses import replace
 from itertools import permutations
 from math import factorial
 
@@ -21,14 +22,13 @@ from osgkit.enumeration import (
 from osgkit.fixtures import load_fixture
 from osgkit.properties import (
     PROPERTY_PREDICATES,
-    Facts,
     REGULARITY_KINDS,
     is_group_like,
     is_inverse_ordered,
     regularity,
 )
 from osgkit.structure import StructureParseError, canonical_form, validate
-from osgkit.theorems import condition_ids, evaluate_condition
+from osgkit.theorems import CONDITIONS, condition_ids, evaluate_condition
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +369,18 @@ def test_filters_naming_one_function_call_it_once_per_record(monkeypatch):
     # C.1 is T35.1's function under another id: with both filters, each
     # record decides it once, as with T35.1 alone
     calls = []
-    inverses_h_related = Facts.inverses_h_related
 
-    def counted(f, elements):
+    def counted(f, fn=CONDITIONS["T35.1"].fn):
         calls.append(f)
-        return inverses_h_related(f, elements)
+        return fn(f)
 
-    monkeypatch.setattr(Facts, "inverses_h_related", counted)
+    monkeypatch.setitem(CONDITIONS, "T35.1", replace(CONDITIONS["T35.1"], fn=counted))
     runs = []
     for filters in (("T35.1",), ("T35.1", "C.1")):
         calls.clear()
         kept = list(enumerate_ordered_semigroups(EnumerationOptions(3, filters=filters)))
         runs.append((len(kept), len(calls)))
-    assert runs[0] == runs[1] == (309, 593)
+    assert runs[0] == runs[1] == (309, 971)
 
 
 # ---------------------------------------------------------------------------

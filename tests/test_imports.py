@@ -204,13 +204,15 @@ def test_function_level_imports_are_found():
 
 
 def test_no_function_level_imports():
-    # no import cycle is broken by importing inside a function; the one
-    # import left there keeps the reference kernel unloaded until a
-    # structure above the compiled kernel's orders needs it
+    # no import cycle is broken by importing inside a function; the two
+    # imports left there keep the reference kernel unloaded until a
+    # structure above the compiled kernel's orders needs its record or
+    # its validation
     found = [(path.name, *entry) for path in sorted(PACKAGE.glob("*.py"))
              for entry in function_level_imports(path.read_text(encoding="utf-8"))]
     assert [(module, fn, name) for module, fn, _, name in found] == [
         ("properties.py", "facts", "osgkit._kernel_py"),
+        ("structure.py", "validate", "osgkit._kernel_py"),
     ]
 
 

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -31,7 +32,8 @@ def test_backends_report_their_names(compiled):
 
 def test_backends_share_max_order(compiled):
     assert {name for name in dir(compiled) if not name.startswith("_")} == {
-        "BACKEND", "MAX_ORDER", "enumerate_valid_tables", "canonical_key", "fact_rows",
+        "BACKEND", "MAX_ORDER", "enumerate_valid_tables", "canonical_key",
+        "axiom_witnesses", "fact_rows",
     }
     assert compiled.MAX_ORDER == _kernel_py.MAX_ORDER == kernel.MAX_ORDER == 5
 
@@ -126,10 +128,10 @@ def test_fact_rows_identical_on_every_class_upto_order_4(compiled):
     assert count == 1 + 11 + 173 + 4753
 
 
-def test_fact_rows_identical_on_random_tables(compiled):
-    # the record is defined for any table, associative or not, under any
-    # relation: partial orders, and arbitrary 0/1 matrices
-    rng = random.Random(26)
+def _random_tables(seed):
+    """400 seeded (n, mult, leq) of orders 1..5, associative or not, under
+    partial orders and arbitrary 0/1 matrices."""
+    rng = random.Random(seed)
     posets = {n: [_leq_flat(rel, n) for rel in enumerate_partial_orders(n)] for n in (1, 2, 3, 4)}
     for k in range(400):
         n = rng.randint(1, 5)
@@ -138,7 +140,32 @@ def test_fact_rows_identical_on_random_tables(compiled):
             leq = rng.choice(posets[n])
         else:
             leq = bytes(rng.randint(0, 1) for _ in range(n * n))
+        yield n, mult, leq
+
+
+def test_fact_rows_identical_on_random_tables(compiled):
+    # the record is defined for any table, associative or not, under any
+    # relation
+    for n, mult, leq in _random_tables(26):
         assert compiled.fact_rows(mult, leq, n) == _kernel_py.fact_rows(mult, leq, n)
+
+
+def test_axiom_witnesses_identical_on_every_class_upto_order_4(compiled):
+    count = 0
+    for n, mult, leq in _every_class_upto_4(compiled):
+        assert compiled.axiom_witnesses(mult, leq, n) \
+            == _kernel_py.axiom_witnesses(mult, leq, n) == (None,) * 6
+        count += 1
+    assert count == 1 + 11 + 173 + 4753
+
+
+def test_axiom_witnesses_identical_on_random_tables(compiled):
+    failing = Counter()
+    for n, mult, leq in _random_tables(30):
+        witnesses = _kernel_py.axiom_witnesses(mult, leq, n)
+        assert compiled.axiom_witnesses(mult, leq, n) == witnesses
+        failing.update(k for k, witness in enumerate(witnesses) if witness is not None)
+    assert len(failing) == 6  # each axiom's scan finds a witness somewhere
 
 
 ERROR_CASES = [
@@ -160,6 +187,11 @@ ERROR_CASES = [
     ("fact_rows", (b"\x00" * 3, b"\x01" * 4, 2), "mult must hold n*n bytes"),
     ("fact_rows", (b"\x00\x00\x00\x02", b"\x01" * 4, 2), "mult entries must be below n"),
     ("fact_rows", (b"\x00" * 4, b"\x01" * 3, 2), "leq must hold n*n bytes"),
+    ("axiom_witnesses", (b"", b"", 0), "order must be within 1..5"),
+    ("axiom_witnesses", (b"\x00" * 36, b"\x01" * 36, 6), "order must be within 1..5"),
+    ("axiom_witnesses", (b"\x00" * 3, b"\x01" * 4, 2), "mult must hold n*n bytes"),
+    ("axiom_witnesses", (b"\x00\x00\x00\x02", b"\x01" * 4, 2), "mult entries must be below n"),
+    ("axiom_witnesses", (b"\x00" * 4, b"\x01" * 3, 2), "leq must hold n*n bytes"),
 ]
 
 
@@ -216,7 +248,8 @@ def test_bench_kernel_script_times_every_available_backend():
     assert [w for w in lines[header].split()[1:] if w != "speedup"] == backends
     rows = lines[header + 1:]
     # assoc tables, valid tables over all posets, orbit-minimal tables over
-    # poset classes, canonical keys, fact rows of the classes
-    assert len(rows) == 5
+    # poset classes, canonical keys, axiom witnesses and fact rows of the
+    # classes
+    assert len(rows) == 6
     for row in rows:
         assert len(re.findall(r"\d+\.\d+ms", row)) == len(backends)

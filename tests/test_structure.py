@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from osgkit import oracles
 from osgkit.fixtures import fixture_text, load_fixture, load_named_fixture
 from osgkit.structure import (
+    AxiomFailure,
     OrderedSemigroup,
     StructureParseError,
+    ValidationReport,
     canonical_form,
     decode_canonical,
     format_structure,
@@ -236,6 +238,30 @@ def test_validate_works_above_the_search_limit():
     failures = {f.axiom: f.witness for f in validate(broken).failures}
     assert failures["associativity"] == (2, 3, 2)
     assert oracles.assoc_failures(broken.mult)[0] == (2, 3, 2)
+
+
+def test_validate_pins_every_failure_above_the_search_limit():
+    # a left-zero table (xy = x) but 4*5 = 5, under a relation with 3 not
+    # below itself, 1 and 2 below each other, and 0 below 1
+    mult = [[x] * 6 for x in range(6)]
+    mult[4][5] = 5
+    leq = [[i == j != 3 for j in range(6)] for i in range(6)]
+    leq[1][2] = leq[2][1] = leq[0][1] = True
+    s = OrderedSemigroup(6, tuple(map(tuple, mult)), tuple(map(tuple, leq)))
+    # (40)5 = 4*5 = 5 but 4(05) = 4*0 = 4, and every triple before it
+    # multiplies on the left by one of 0..3, or by 4 with no 5: always x.
+    # 0 <= 1 <= 2 but not 0 <= 2, and the pair (0, 0) before it has no k.
+    # 0 <= 0 but 3*0 = 3 is not below 3*0 = 3; on the right, a*x = a for
+    # every a but 4, and 4*x is 4 or 5, each below itself: right
+    # compatibility holds.
+    assert validate(s) == ValidationReport(False, (
+        AxiomFailure("associativity", (4, 0, 5)),
+        AxiomFailure("reflexivity", (3,)),
+        AxiomFailure("antisymmetry", (1, 2)),
+        AxiomFailure("transitivity", (0, 1, 2)),
+        AxiomFailure("left_compatibility", (0, 0, 3)),
+    ))
+    assert oracles.assoc_failures(s.mult)[0] == (4, 0, 5)
 
 
 @given(raw_structures())

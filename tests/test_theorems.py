@@ -467,17 +467,36 @@ VERDICTS_ORDER4_ISO_SHA256 = (
 )
 
 
+def _record_reports(f):
+    """The property reports of the record f, in the order the public
+    deciders give them: regularity of each kind, group-likeness of each
+    kind, the inverse test, generator uniqueness on each side."""
+    reports = [f.regularity(kind) for kind in REGULARITY_KINDS]
+    reports += [f.group_like(kind) for kind in GROUP_LIKE_KINDS]
+    reports.append(f.inverse())
+    reports += [f.generator_uniqueness(side) for side in GENERATOR_SIDES]
+    return reports
+
+
 def _verdict_record(s) -> str:
     # every condition decided on one record, as evaluate_condition decides
-    # each, with a shared function called once
+    # each, with a shared function called once, and every property report
+    # taken from the same record (the public deciders are its adapters)
     f, outcomes = facts(s), {}
     verdicts = [theorems._condition_verdict(f, cid, outcomes) for cid in condition_ids()]
     conditions = [(v.condition, v.holds, v.witness, v.hypothesis_met) for v in verdicts]
-    reports = [regularity(s, kind) for kind in REGULARITY_KINDS]
-    reports += [is_group_like(s, kind) for kind in GROUP_LIKE_KINDS]
-    reports.append(is_inverse_ordered(s))
-    reports += [generator_uniqueness(s, side) for side in GENERATOR_SIDES]
+    reports = _record_reports(f)
     return repr((s.order, s.mult, s.leq, conditions, [asdict(r) for r in reports]))
+
+
+def test_public_deciders_equal_their_record_methods(corpus_upto3_labelled):
+    assert len(corpus_upto3_labelled) == 992
+    for s in corpus_upto3_labelled:
+        public = [regularity(s, kind) for kind in REGULARITY_KINDS]
+        public += [is_group_like(s, kind) for kind in GROUP_LIKE_KINDS]
+        public.append(is_inverse_ordered(s))
+        public += [generator_uniqueness(s, side) for side in GENERATOR_SIDES]
+        assert public == _record_reports(facts(s))
 
 
 @pytest.fixture(scope="module")
@@ -798,8 +817,12 @@ def test_inverse_and_b1_agree_up_to_order_4():
     for n, classes in zip((1, 2, 3, 4), (1, 11, 173, 4753)):
         corpus = list(enumerate_ordered_semigroups(EnumerationOptions(n, mode="up_to_iso")))
         assert len(corpus) == classes
-        inverse = [evaluate_condition(s, "T35.1").holds for s in corpus]
-        assert [evaluate_condition(s, "B.1").holds for s in corpus] == inverse
+        inverse, b1 = [], []
+        for s in corpus:  # both decided on one record, as the sweep decides them
+            f, outcomes = facts(s), {}
+            inverse.append(theorems._condition_verdict(f, "T35.1", outcomes).holds)
+            b1.append(theorems._condition_verdict(f, "B.1", outcomes).holds)
+        assert b1 == inverse
     assert sum(inverse) == 1095  # of the order-4 classes
 
 
